@@ -3,7 +3,7 @@
 Subpackage layout:
 
 - poly: exact Laurent polynomial and rational function arithmetic
-- weyl: permutations, extended affine elements, root data
+- weyl: permutations and root data
 - daha: difference-reflection operators, generator words, idempotent sandwiches
 - zalg: abelian convolution algebra, localized and commutative spherical classes
 - ideals: symbolic power ideals, determinant bases, graded slices
@@ -22,7 +22,7 @@ from .poly import (
     parse_poly,
     poly_to_text,
 )
-from .weyl import ExtAffineElt, RootData
+from .weyl import RootData
 from .daha import (
     DiffReflOp,
     e_lambda,

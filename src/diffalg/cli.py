@@ -18,9 +18,11 @@ reproducible.
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import daha
@@ -30,6 +32,7 @@ from .ideals import (
     Window,
     delta_S_direct,
     delta_S_schur,
+    dominant_coweights,
     graded_dimension,
     membership,
     verify_containment,
@@ -58,6 +61,7 @@ from .zalg import (
     abelian_embed,
     class_commutative,
     class_localized,
+    class_to_poly,
     commutative_limit,
     embed_compose,
     match_conventions,
@@ -92,10 +96,9 @@ class CheckConfig:
     ``suite`` is a registered suite name or "all"; ``rank`` is the number of
     variables; the caps bound the degrees and windows the suites sweep;
     ``seed`` drives all randomness; ``budget`` is the per-suite time budget
-    in seconds; ``out`` is an optional report path; ``matter`` optionally
-    replaces the built-in character configurations of the abelian suite;
-    ``corrupt`` deliberately injects a failing check (used to exercise the
-    failure path end to end).
+    in seconds; ``matter`` optionally replaces the built-in character
+    configurations of the abelian suite; ``corrupt`` deliberately injects a
+    failing check (used to exercise the failure path end to end).
     """
 
     __slots__ = (
@@ -103,10 +106,8 @@ class CheckConfig:
         "rank",
         "d_max",
         "y_max",
-        "x_radius",
         "seed",
         "budget",
-        "out",
         "matter",
         "corrupt",
     )
@@ -117,16 +118,14 @@ class CheckConfig:
         rank=2,
         d_max=2,
         y_max=4,
-        x_radius=2,
         seed=0,
         budget=600.0,
-        out=None,
         matter=None,
         corrupt=False,
     ):
         if not isinstance(rank, int) or rank < 1:
             raise InvalidRank(f"rank must be a positive integer, got {rank!r}")
-        for name, value in (("d_max", d_max), ("y_max", y_max), ("x_radius", x_radius)):
+        for name, value in (("d_max", d_max), ("y_max", y_max)):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
         if budget <= 0:
@@ -135,10 +134,8 @@ class CheckConfig:
         self.rank = rank
         self.d_max = d_max
         self.y_max = y_max
-        self.x_radius = x_radius
         self.seed = seed
         self.budget = float(budget)
-        self.out = out
         self.matter = matter
         self.corrupt = bool(corrupt)
 
@@ -149,7 +146,6 @@ class CheckConfig:
             "rank": self.rank,
             "d_max": self.d_max,
             "y_max": self.y_max,
-            "x_radius": self.x_radius,
             "seed": self.seed,
             "budget": self.budget,
             "matter": self.matter,
@@ -220,10 +216,6 @@ def parse(text):
 # -- helpers shared by the suites -----------------------------------------
 
 
-def _fundamental(n, m):
-    return (1,) * m + (0,) * (n - m)
-
-
 def _default_matters():
     return [
         {"rank": 1, "characters": [[1]]},
@@ -264,21 +256,6 @@ def _random_abelian(rng, matter, i, j, monomial=False):
     return AbelianZElt(matter, i, j, terms)
 
 
-def _flatten_class(ctx, cls):
-    poly = LaurentPoly.zero(ctx)
-    for lam, coeff in cls.items():
-        poly = poly + coeff * LaurentPoly.monomial(ctx, xe=tuple(lam))
-    return poly
-
-
-def _dominant_box(n, bound):
-    return [
-        lam
-        for lam in itertools.product(range(bound, -bound - 1, -1), repeat=n)
-        if all(lam[t] >= lam[t + 1] for t in range(n - 1))
-    ]
-
-
 # -- suites ----------------------------------------------------------------
 
 
@@ -310,7 +287,7 @@ def _suite_e_lambda(cfg, rng):
     steps = []
     for m in range(1, cfg.rank):
         def check(m=m):
-            lam = _fundamental(cfg.rank, m)
+            lam = daha.fundamental_coweight(cfg.rank, m)
             diff = daha.e_lambda(ctx, lam, "closed") - daha.e_lambda(ctx, lam, "generators")
             ok = diff.is_zero()
             return ok, None if ok else daha.op_to_text(diff)
@@ -364,7 +341,7 @@ def _suite_localization(cfg, rng):
 
     def minuscule_exact():
         for m in range(1, n):
-            cls = class_localized(_fundamental(n, m), LaurentPoly.one(ctx), 0, 1)
+            cls = class_localized(daha.fundamental_coweight(n, m), LaurentPoly.one(ctx), 0, 1)
             if not cls.exact:
                 return False, f"coweight {m} flagged inexact"
             if not cls.is_equivariant():
@@ -377,7 +354,7 @@ def _suite_localization(cfg, rng):
     steps.append((f"localized classes at fundamental coweights (rank {n})", minuscule_exact))
 
     def limit_matches():
-        lam = _fundamental(n, 1)
+        lam = daha.fundamental_coweight(n, 1)
         cls = class_localized(lam, LaurentPoly.one(ctx), 0, 1)
         raw = class_commutative(lam, LaurentPoly.one(ctx), 1, roots, normalization="raw")
         scale = Fraction(roots.order(), roots.stabilizer_size(lam))
@@ -427,7 +404,7 @@ def _suite_factorization(cfg, rng):
     steps = []
     for d in range(1, min(cfg.d_max, 3) + 1):
         def check(d=d):
-            for lam in _dominant_box(n, 2):
+            for lam in dominant_coweights(n, 2, -2):
                 rep = verify_factorization(lam, d, n)
                 if not rep["ok"]:
                     return False, f"lam={lam}: scale {rep['scale']}"
@@ -501,13 +478,11 @@ def _suite_ideal_membership(cfg, rng):
     def unit_gap_reduced():
         for d in range(1, min(cfg.d_max, 3) + 1):
             spec = IdealSpec(roots, d)
-            for lam in itertools.product((1, 0), repeat=n):
-                if any(lam[t] < lam[t + 1] for t in range(n - 1)):
-                    continue
+            for lam in dominant_coweights(n, 1, 0):
                 for ye in itertools.product(range(2), repeat=n):
                     f = LaurentPoly.monomial(ctx, ye=ye)
                     cls = class_commutative(lam, f, d, roots)
-                    poly = _flatten_class(ctx, cls)
+                    poly = class_to_poly(ctx, cls)
                     if not poly:
                         continue
                     ok, witness = membership(poly, spec)
@@ -660,7 +635,7 @@ def run_suite(cfg):
 
     Steps that would start after the per-suite budget is exhausted are
     reported as skipped with the budget as witness; a crashed step is a
-    failure whose witness is the exception.
+    failure whose witness is the exception and the file and line that raised it.
     """
     if cfg.suite != "all" and cfg.suite not in SUITES:
         raise UnknownSuite(f"unknown suite {cfg.suite!r}")
@@ -685,7 +660,9 @@ def run_suite(cfg):
             try:
                 ok, witness = thunk()
             except Exception as exc:  # a crash is a failure, not an abort
-                ok, witness = False, f"{type(exc).__name__}: {exc}"
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+                ok, witness = False, f"{type(exc).__name__}: {exc} (at {where})"
             if ok:
                 entries.append({"label": full, "status": "pass", "witness": witness})
             else:
@@ -714,7 +691,6 @@ def _build_parser():
     verify.add_argument("--rank", type=int, default=2, help="number of variables (default 2)")
     verify.add_argument("--dmax", type=int, default=2, help="largest algebra degree (default 2)")
     verify.add_argument("--ymax", type=int, default=4, help="y-degree cap for windows (default 4)")
-    verify.add_argument("--xradius", type=int, default=2, help="x-exponent radius (default 2)")
     verify.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     verify.add_argument("--budget", type=float, default=600.0, help="per-suite budget in seconds")
     verify.add_argument("--out", help="write the JSON report to this path")
@@ -749,10 +725,8 @@ def _cmd_verify(args):
         rank=args.rank,
         d_max=args.dmax,
         y_max=args.ymax,
-        x_radius=args.xradius,
         seed=args.seed,
         budget=args.budget,
-        out=args.out,
         matter=matter,
         corrupt=args.corrupt,
     )
@@ -809,7 +783,7 @@ def main(argv=None):
         if args.command == "dims":
             return _cmd_dims(args)
         return _cmd_eval(args)
-    except (InvalidRank, UnknownSuite) as exc:
+    except (ValueError, OSError) as exc:  # bad input or files: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,6 @@ h to -h on explicit scalar coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -40,7 +39,6 @@ from .poly import (
     subst_params,
 )
 from .weyl import (
-    ExtAffineElt,
     all_perms,
     identity_perm,
     perm_inv,
@@ -190,15 +188,9 @@ def op_to_text(op):
     pieces = []
     for key in sorted(op.terms, key=lambda k: (k[1], k[0])):
         w, lam = key
-        coeff = op.terms[key]
-        if coeff.is_polynomial():
-            coeff_text = f"({poly_to_text(coeff.num)})"
-        else:
-            den_text = " * ".join(f"({form.text()})" for form in coeff.den)
-            coeff_text = f"(({poly_to_text(coeff.num)}) / {den_text})"
         lam_text = "[" + ",".join(str(v) for v in lam) + "]"
         w_text = "[" + ",".join(str(v + 1) for v in w) + "]"
-        pieces.append(f"{coeff_text} * u^{lam_text} * {w_text}")
+        pieces.append(f"({op.terms[key].text()}) * u^{lam_text} * {w_text}")
     return " + ".join(pieces)
 
 
@@ -269,9 +261,9 @@ def op_pi(ctx):
 def op_pi_inv(ctx):
     n = ctx.n
     w_c = tuple((j + 1) % n for j in range(n))
-    lam = (1,) + (0,) * (n - 1)
-    g = ExtAffineElt(w_c, lam).inverse()
-    return DiffReflOp(ctx, {(g.w, g.lam): RationalFunction.one(ctx)})
+    w_inv = perm_inv(w_c)
+    lam = perm_on_vector(w_inv, (-1,) + (0,) * (n - 1))
+    return DiffReflOp(ctx, {(w_inv, lam): RationalFunction.one(ctx)})
 
 
 def op_sigma_w(ctx, w, c_shift=0):
@@ -319,10 +311,6 @@ def delta_poly(ctx, c_mult=0):
 
 
 # -- generator words --------------------------------------------------------
-
-
-def word_sigma(i):
-    return ("s", i)
 
 
 def word_to_text(word):
@@ -474,18 +462,12 @@ def x_omega_word(n, m):
     return tuple(out)
 
 
-def e_lambda_word_sum(n, m):
-    """Word sum for the idempotent sandwich around X^{omega_m}."""
-    sandwich = symmetrizer_word_sum(n)
-    middle = x_omega_word(n, m)
-    out = []
-    for c1, w1 in sandwich:
-        for c2, w2 in sandwich:
-            out.append((c1 * c2, w1 + middle + w2))
-    return out
-
-
 # -- idempotent sandwich in closed form -------------------------------------
+
+
+def fundamental_coweight(n, m):
+    """The m-th fundamental coweight (1,..,1,0,..,0) with m leading ones."""
+    return (1,) * m + (0,) * (n - m)
 
 
 def minuscule_level(lam):
@@ -630,7 +612,7 @@ def phi_shift_check(n, m):
     (ok, witness_text).
     """
     ctx = VarContext(n)
-    lam = (1,) * m + (0,) * (n - m)
+    lam = fundamental_coweight(n, m)
     dc_op = op_scalar(ctx, delta_poly(ctx, c_mult=1))
     sign = -1 if (m * (n - m)) % 2 else 1
     sym_inputs = op_plain_symmetrizer(ctx)

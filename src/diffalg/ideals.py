@@ -21,6 +21,7 @@ the slice with the span of the commutative-limit classes from
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from .poly import (
     LaurentPoly,
@@ -33,7 +34,7 @@ from .poly import (
     taylor_pair,
 )
 from .weyl import RootData, all_perms
-from .zalg import class_commutative
+from .zalg import class_commutative, class_to_poly
 
 
 class UnsupportedRootData(ValueError):
@@ -158,14 +159,7 @@ def delta_S_direct(S):
             ctx, xe=tuple(xe), ye=tuple(ye), coeff=Fraction(perm_sign(w))
         )
         out = out + term
-    return out * Fraction(1, _factorial(n))
-
-
-def _factorial(n):
-    out = 1
-    for t in range(2, n + 1):
-        out *= t
-    return out
+    return out * Fraction(1, factorial(n))
 
 
 def schur_poly(ctx, var_indices, mu):
@@ -225,7 +219,7 @@ def delta_S_schur(S):
         if perm_sign(w) < 0:
             piece = -piece
         alt = alt + piece
-    alt = alt * Fraction(1, _factorial(n))
+    alt = alt * Fraction(1, factorial(n))
     direct = delta_S_direct(S)
     if not alt or not direct:
         raise ArithmeticError("determinant vanished; S is not a valid subset")
@@ -293,6 +287,24 @@ def membership(f, spec):
 # -- windows and graded slices ----------------------------------------------
 
 
+def dominant_coweights(n, hi, lo):
+    """Non-increasing coweights with entries in [lo, hi], descending lexicographic."""
+    return [
+        lam
+        for lam in itertools.product(range(hi, lo - 1, -1), repeat=n)
+        if all(lam[t] >= lam[t + 1] for t in range(n - 1))
+    ]
+
+
+def y_exponents(n, degree):
+    """Nonnegative exponent vectors of total degree at most ``degree``."""
+    return [
+        ye
+        for ye in itertools.product(range(degree + 1), repeat=n)
+        if sum(ye) <= degree
+    ]
+
+
 class Window:
     """An x-exponent box [x_min, x_max]^n with total y-degree at most y_max."""
 
@@ -313,11 +325,7 @@ class Window:
     def monomial_keys(self, n):
         """All (x-exponents, y-exponents) keys in the window, sorted."""
         xs = itertools.product(range(self.x_min, self.x_max + 1), repeat=n)
-        ys = [
-            ye
-            for ye in itertools.product(range(self.y_max + 1), repeat=n)
-            if sum(ye) <= self.y_max
-        ]
+        ys = y_exponents(n, self.y_max)
         return sorted((xe, ye) for xe in xs for ye in ys)
 
     def contains(self, f):
@@ -383,6 +391,10 @@ def graded_dimension(spec, d_isotypic, window, cap=6000):
     when the window has more than ``cap`` monomials.
     """
     roots = spec.roots
+    if spec.d > 0 and roots.kind != "A":
+        raise UnsupportedRootData(
+            f"symbolic-power slices support type A root data, not {roots.kind}"
+        )
     n = roots.rank
     ctx = VarContext(n)
     keys = window.monomial_keys(n)
@@ -413,10 +425,6 @@ def graded_dimension(spec, d_isotypic, window, cap=6000):
                 constraints.append(row)
 
     if spec.d > 0:
-        if roots.kind != "A":
-            raise UnsupportedRootData(
-                f"symbolic-power slices support type A root data, not {roots.kind}"
-            )
         clear = max(0, -window.x_min)
         for r in range(n):
             for s in range(r + 1, n):
@@ -467,23 +475,11 @@ def verify_containment(n, d, lam_bound, f_degree, normalization="raw"):
     ctx = VarContext(n)
     checked = 0
     failures = []
-    dominants = [
-        lam
-        for lam in itertools.product(range(lam_bound, -lam_bound - 1, -1), repeat=n)
-        if all(lam[t] >= lam[t + 1] for t in range(n - 1))
-    ]
-    dressings = [
-        ye
-        for ye in itertools.product(range(f_degree + 1), repeat=n)
-        if sum(ye) <= f_degree
-    ]
-    for lam in dominants:
-        for ye in dressings:
+    for lam in dominant_coweights(n, lam_bound, -lam_bound):
+        for ye in y_exponents(n, f_degree):
             f = LaurentPoly.monomial(ctx, ye=ye)
             cls = class_commutative(lam, f, d, roots, normalization=normalization)
-            poly = LaurentPoly.zero(ctx)
-            for lam2, coeff in cls.items():
-                poly = poly + coeff * LaurentPoly.monomial(ctx, xe=lam2)
+            poly = class_to_poly(ctx, cls)
             if not poly:
                 continue
             checked += 1
@@ -507,28 +503,14 @@ def verify_spanning(n, d, window):
     slice_ = graded_dimension(spec, d, window)
     keys = list(slice_.columns)
     index = {key: t for t, key in enumerate(keys)}
-    dominants = [
-        lam
-        for lam in itertools.product(
-            range(window.x_max, window.x_min - 1, -1), repeat=n
-        )
-        if all(lam[t] >= lam[t + 1] for t in range(n - 1))
-    ]
-    dressings = [
-        ye
-        for ye in itertools.product(range(window.y_max + 1), repeat=n)
-        if sum(ye) <= window.y_max
-    ]
     vectors = []
     generators = 0
     failures = []
-    for lam in dominants:
-        for ye in dressings:
+    for lam in dominant_coweights(n, window.x_max, window.x_min):
+        for ye in y_exponents(n, window.y_max):
             f = LaurentPoly.monomial(ctx, ye=ye)
             cls = class_commutative(lam, f, d, roots)
-            poly = LaurentPoly.zero(ctx)
-            for lam2, coeff in cls.items():
-                poly = poly + coeff * LaurentPoly.monomial(ctx, xe=lam2)
+            poly = class_to_poly(ctx, cls)
             if not poly or not window.contains(poly):
                 continue
             generators += 1

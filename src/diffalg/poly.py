@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-import itertools
+
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -130,25 +131,7 @@ class LaurentPoly:
 
     def constant_value(self):
         zero = (0,) * self.ctx.n
-        return self.terms.get((zero, zero, 0, 0), Fraction(0))
-
-    def coefficient(self, xe, ye, ce=0, he=0):
-        return self.terms.get((tuple(xe), tuple(ye), ce, he), Fraction(0))
-
-    def y_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(ye) for _, ye, _, _ in self.terms)
-
-    def total_weight(self, y_weight=2, c_weight=2, h_weight=2):
-        """Degrees of all terms under deg y = deg c = deg h = y_weight (x ignored)."""
-        return {
-            sum(ye) * y_weight + ce * c_weight + he * h_weight
-            for _, ye, ce, he in self.terms
-        }
-
-    def x_support(self):
-        return {xe for xe, _, _, _ in self.terms}
+        return self.terms.get((zero, zero, 0, 0), ZERO)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -159,11 +142,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, ZERO) + coeff
         return LaurentPoly(self.ctx, out)
 
     __radd__ = __add__
@@ -198,11 +177,7 @@ class LaurentPoly:
                     ce1 + ce2,
                     he1 + he2,
                 )
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, ZERO) + c1 * c2
         return LaurentPoly(self.ctx, out)
 
     __rmul__ = __mul__
@@ -268,11 +243,7 @@ def shift_y(f, lam):
             expanded = nxt
         for cur_coeff, cur_ye, cur_he in expanded:
             key = (xe, cur_ye, ce, cur_he)
-            acc = out.get(key, Fraction(0)) + cur_coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, ZERO) + cur_coeff
     return LaurentPoly(f.ctx, out)
 
 
@@ -295,11 +266,7 @@ def subst_params(f, c_sign=1, c_to_h=0, h_sign=1):
         base_coeff = coeff * Fraction(h_sign) ** he
         if ce == 0 or c_to_h == 0:
             key = (xe, ye, ce, he)
-            acc = out.get(key, Fraction(0)) + base_coeff * Fraction(c_sign) ** ce
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, ZERO) + base_coeff * Fraction(c_sign) ** ce
             continue
         for k in range(ce + 1):
             scale = (
@@ -308,11 +275,7 @@ def subst_params(f, c_sign=1, c_to_h=0, h_sign=1):
                 * Fraction(c_to_h) ** (ce - k)
             )
             key = (xe, ye, k, he + ce - k)
-            acc = out.get(key, Fraction(0)) + base_coeff * scale
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, ZERO) + base_coeff * scale
     return LaurentPoly(f.ctx, out)
 
 
@@ -326,14 +289,8 @@ def eval_params(f, c_value=None, h_value=None):
         if h_value is not None:
             coeff = coeff * _as_fraction(h_value) ** he
             he = 0
-        if not coeff:
-            continue
         key = (xe, ye, ce, he)
-        acc = out.get(key, Fraction(0)) + coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
+        out[key] = out.get(key, ZERO) + coeff
     return LaurentPoly(f.ctx, out)
 
 
@@ -342,23 +299,6 @@ def perm_sign(w):
         1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
     )
     return -1 if inversions & 1 else 1
-
-
-def project_isotypic(f, d):
-    """Average over S_n acting diagonally on x and y, twisted by sign^d.
-
-    d even gives the symmetriser, d odd the antisymmetriser.
-    """
-    n = f.ctx.n
-    total = LaurentPoly.zero(f.ctx)
-    count = 0
-    for w in itertools.permutations(range(n)):
-        g = act_perm(w, f)
-        if d % 2 and perm_sign(w) < 0:
-            g = -g
-        total = total + g
-        count += 1
-    return total * Fraction(1, count)
 
 
 # -- linear forms and factored rational functions ----------------------
@@ -430,7 +370,7 @@ def exact_divide(f, form):
         k = ye[r]
         stripped = (xe, ye[:r] + (0,) + ye[r + 1 :], ce, he)
         bucket = by_degree.setdefault(k, {})
-        bucket[stripped] = bucket.get(stripped, Fraction(0)) + coeff
+        bucket[stripped] = bucket.get(stripped, ZERO) + coeff
     top = max(by_degree)
     if top == 0:
         return None
@@ -599,11 +539,15 @@ class RationalFunction:
             [form.subst_c(c_sign, c_to_h) for form in self.den],
         )
 
-    def __repr__(self):
+    def text(self):
+        """``num`` alone, or ``(num) / (form) * (form)`` with a denominator."""
         if not self.den:
-            return f"RatFn({poly_to_text(self.num)})"
+            return poly_to_text(self.num)
         den_text = " * ".join(f"({form.text()})" for form in self.den)
-        return f"RatFn(({poly_to_text(self.num)}) / {den_text})"
+        return f"({poly_to_text(self.num)}) / {den_text}"
+
+    def __repr__(self):
+        return f"RatFn({self.text()})"
 
 
 # -- local Taylor data ---------------------------------------------------
@@ -644,11 +588,7 @@ def taylor_pair(f, pair, order):
                 nye[j] += fi - b
                 key = (tuple(nxe), tuple(nye), ce, he)
                 bucket = acc[(a, b)]
-                total = bucket.get(key, Fraction(0)) + scale
-                if total:
-                    bucket[key] = total
-                else:
-                    bucket.pop(key, None)
+                bucket[key] = bucket.get(key, ZERO) + scale
     for key, bucket in acc.items():
         out[key] = LaurentPoly(f.ctx, bucket)
     return out

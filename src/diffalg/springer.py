@@ -17,11 +17,9 @@ paved by affine cells (the first component contributes every cell, each
 later one loses the glued hyperplane).
 """
 
-from fractions import Fraction
-
-from .ideals import GradedSlice, IdealSpec, Window, graded_dimension, membership
+from .ideals import IdealSpec, graded_dimension, membership
 from .poly import LaurentPoly, LinearForm, RationalFunction, VarContext
-from .weyl import RootData
+from .zalg import class_to_poly
 
 
 class NotInIdeal(ValueError):
@@ -174,10 +172,7 @@ def module_act(a, m, d):
     roots = m.module.roots
     ctx = VarContext(roots.rank)
     if isinstance(a, dict):
-        poly = LaurentPoly.zero(ctx)
-        for lam, coeff in a.items():
-            poly = poly + coeff * LaurentPoly.monomial(ctx, xe=tuple(lam))
-        a = poly
+        a = class_to_poly(ctx, a)
     if not isinstance(a, LaurentPoly):
         raise TypeError("a must be a LaurentPoly or a class mapping")
     if a:

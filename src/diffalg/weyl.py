@@ -1,4 +1,4 @@
-"""Permutations, extended affine elements, and small integer root data.
+"""Permutations and small integer root data.
 
 Permutations are tuples of images, 0-indexed: w[j] is where position j goes.
 The extended affine element (w, lam) acts on polynomials by applying w first
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 
-from .poly import LaurentPoly, act_perm, perm_sign, shift_y
+from .poly import LaurentPoly
 
 
 def identity_perm(n):
@@ -70,36 +70,6 @@ def reduced_word(w):
                 changed = True
     word.reverse()
     return word
-
-
-@dataclass(frozen=True)
-class ExtAffineElt:
-    """Pair (w, lam) of a permutation and an integer translation vector."""
-
-    w: tuple
-    lam: tuple
-
-    @staticmethod
-    def identity(n):
-        return ExtAffineElt(identity_perm(n), (0,) * n)
-
-    def __mul__(self, other):
-        return ExtAffineElt(
-            perm_mul(self.w, other.w),
-            tuple(a + b for a, b in zip(self.lam, perm_on_vector(self.w, other.lam))),
-        )
-
-    def inverse(self):
-        winv = perm_inv(self.w)
-        return ExtAffineElt(
-            winv, tuple(-v for v in perm_on_vector(winv, self.lam))
-        )
-
-    def act(self, f):
-        return shift_y(act_perm(self.w, f), self.lam)
-
-    def pair(self):
-        return (self.w, self.lam)
 
 
 # -- integer root data ---------------------------------------------------
@@ -238,9 +208,6 @@ class RootData:
             out = out + piece
         return out
 
-    def orbit(self, lam):
-        return sorted({_mat_vec(m, lam) for m in self.elements})
-
     def stabilizer_size(self, lam):
         return sum(1 for m in self.elements if _mat_vec(m, lam) == tuple(lam))
 
@@ -268,11 +235,3 @@ class RootData:
                 g = -g
             total = total + g
         return total * Fraction(1, len(self.elements))
-
-    def pairs(self):
-        """Index pairs (r, s) of type A roots; only valid for kind A."""
-        if self.kind != "A":
-            raise ValueError("index pairs only exist for type A root data")
-        return [
-            (r, s) for r in range(self.rank) for s in range(r + 1, self.rank)
-        ]

@@ -28,6 +28,7 @@ classes of the balanced pieces of its coweight.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from .poly import (
     LaurentPoly,
@@ -71,7 +72,12 @@ class AbelianMatter:
     @classmethod
     def from_config(cls, data):
         """Build from a mapping with keys ``rank`` and ``characters``."""
-        return cls(int(data["rank"]), data["characters"])
+        try:
+            return cls(int(data["rank"]), data["characters"])
+        except KeyError as exc:
+            raise ValueError(f"matter record is missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed matter record {data!r}: {exc}") from None
 
     def __eq__(self, other):
         if not isinstance(other, AbelianMatter):
@@ -377,14 +383,8 @@ class SphericalClass:
             return "0"
         pieces = []
         for lam in sorted(self.terms):
-            coeff = self.terms[lam]
-            if coeff.is_polynomial():
-                coeff_text = f"({poly_to_text(coeff.num)})"
-            else:
-                den_text = " * ".join(f"({form.text()})" for form in coeff.den)
-                coeff_text = f"(({poly_to_text(coeff.num)}) / {den_text})"
             lam_text = ",".join(str(v) for v in lam)
-            pieces.append(f"{coeff_text} * u^[{lam_text}]")
+            pieces.append(f"({self.terms[lam].text()}) * u^[{lam_text}]")
         return " + ".join(pieces)
 
     def __repr__(self):
@@ -510,6 +510,14 @@ def class_commutative(lam, f, d, roots=None, normalization="reduced"):
     return out
 
 
+def class_to_poly(ctx, cls):
+    """Flatten a class mapping (coweight -> coefficient) to sum coeff * x^lam."""
+    poly = LaurentPoly.zero(ctx)
+    for lam, coeff in cls.items():
+        poly = poly + coeff * LaurentPoly.monomial(ctx, xe=tuple(lam))
+    return poly
+
+
 def commutative_compose(a, b):
     """Product of commutative-limit classes: plain convolution of terms."""
     out = {}
@@ -603,10 +611,6 @@ def split_coweight(lam, d):
     return split
 
 
-def _perm_stabilizer_size(lam):
-    return sum(1 for w in all_perms(len(lam)) if perm_on_vector(w, lam) == lam)
-
-
 def verify_factorization(lam, d, n=None):
     """Compare leading coefficients of a raw class against its split product.
 
@@ -642,10 +646,8 @@ def verify_factorization(lam, d, n=None):
         return out
     denom = 1
     for part in split.parts:
-        denom *= _perm_stabilizer_size(part)
-    scale = Fraction(
-        _perm_stabilizer_size(lam) * roots.order() ** (d - 1), denom
-    )
+        denom *= roots.stabilizer_size(part)
+    scale = Fraction(roots.stabilizer_size(lam) * roots.order() ** (d - 1), denom)
     want = lead_r * scale
     if not lead_l - want:
         sign = 1
@@ -700,9 +702,7 @@ def match_conventions(n, shift_range=2):
     ctx = VarContext(n)
     lam = (1,) + (0,) * (n - 1)
     collapsed = daha.e_lambda(ctx, lam, "closed").spherical_collapse()
-    scale = Fraction(
-        len(list(all_perms(n))), _perm_stabilizer_size(lam)
-    )
+    scale = Fraction(factorial(n), RootData.type_a(n).stabilizer_size(lam))
     target = {
         mu: RationalFunction(coeff.num * scale, coeff.den)
         for mu, coeff in collapsed.items()

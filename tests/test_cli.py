@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from diffalg import cli
 from diffalg.cli import (
     SUITE_NAMES,
     CheckConfig,
@@ -189,3 +190,42 @@ def test_eval_subcommand_prints_an_operator(capsys):
     out = capsys.readouterr().out.strip()
     assert out
     assert main(["eval", "--expr", "pi (c + h)", "--rank", "3"]) == 0
+
+
+def test_crash_witness_names_where_it_was_raised(monkeypatch):
+    def crash():
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "splitting", lambda cfg, rng: [("crashes", crash)])
+    [entry] = run_suite(CheckConfig("splitting")).entries
+    line = crash.__code__.co_firstlineno + 1
+    assert entry["status"] == "fail"
+    assert entry["witness"] == f"ZeroDivisionError: boom (at test_cli.py:{line})"
+
+
+@pytest.mark.parametrize(
+    "argv, matter, expect",
+    [
+        (["dims", "--kind", "B2", "--rank", "2", "--d", "1"], None, "B2"),
+        (["dims", "--rank", "3", "--d", "1", "--xmax", "4", "--ymax", "6"], None, "10500"),
+        (["eval", "--expr", "s5 q", "--rank", "2"], None, "position"),
+        (["verify", "chain-example", "--budget", "0"], None, "budget"),
+        (["verify", "abelian-zalg", "--matter-config"], None, "No such file"),
+        (["verify", "abelian-zalg", "--matter-config"], "{not json", "line 1"),
+        (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1}', "'characters'"),
+        (["verify", "abelian-zalg", "--matter-config"], "[1]", "malformed"),
+    ],
+    ids=["root-data", "window", "parse", "budget", "no-file", "bad-json", "missing-key", "not-a-record"],
+)
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, matter, expect):
+    if argv[-1] == "--matter-config":
+        path = tmp_path / "matter.json"
+        if matter is not None:
+            path.write_text(matter)
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert expect in captured.err
+    assert "Traceback" not in captured.out + captured.err

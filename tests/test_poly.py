@@ -17,11 +17,12 @@ from diffalg.poly import (
     exact_divide,
     parse_poly,
     poly_to_text,
-    project_isotypic,
     shift_y,
     subst_params,
     taylor_pair,
 )
+from diffalg.daha import DiffReflOp
+from diffalg.weyl import RootData
 
 CTX2 = VarContext(2)
 CTX3 = VarContext(3)
@@ -50,8 +51,20 @@ def test_coefficients_stay_exact():
 
 
 def test_float_coefficients_are_rejected():
-    with pytest.raises(TypeError):
-        LaurentPoly.const(CTX2, 0.5)
+    p = x(0) + y(1)
+    key = ((0, 0), (0, 0), 0, 0)
+    rf = RationalFunction(p, [LinearForm(0, 1)])
+    for make in (
+        lambda: LaurentPoly.const(CTX2, 0.5),
+        lambda: LaurentPoly(CTX2, {key: 0.5}),
+        lambda: LaurentPoly.monomial(CTX2, ye=(1, 0), coeff=0.5),
+        lambda: p * 0.5,
+        lambda: p + 0.5,
+        lambda: rf * 0.5,
+        lambda: DiffReflOp.identity(CTX2) * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_monomial_validation():
@@ -156,13 +169,14 @@ def test_parameter_substitutions():
 
 
 def test_isotypic_projection():
+    project = RootData.type_a(2).project
     f = x(0)
-    sym = project_isotypic(f, 0)
-    alt = project_isotypic(f, 1)
+    sym = project(f, 0)
+    alt = project(f, 1)
     assert sym == (x(0) + x(1)) * Fraction(1, 2)
     assert alt == (x(0) - x(1)) * Fraction(1, 2)
-    assert project_isotypic(alt, 1) == alt
-    assert not project_isotypic(alt, 0)
+    assert project(alt, 1) == alt
+    assert not project(alt, 0)
 
 
 def test_linear_form_canonical_order():
