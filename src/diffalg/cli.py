@@ -18,6 +18,7 @@ reproducible.
 import argparse
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -128,8 +129,8 @@ class CheckConfig:
         for name, value in (("d_max", d_max), ("y_max", y_max)):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        if budget <= 0:
-            raise ValueError("budget must be positive")
+        if not (math.isfinite(budget) and budget > 0):
+            raise ValueError("budget must be a positive finite number")
         self.suite = suite
         self.rank = rank
         self.d_max = d_max

@@ -355,47 +355,102 @@ class LinearForm:
         return " ".join(parts)
 
 
+# Modulus and base point of the non-divisibility certificate in exact_divide.
+# Coordinate k of the point (x1..xn, y1..yn, c, h in that order) is
+# _CERT_BASE ** (k + 1) mod _CERT_PRIME: fixed residues with no short integer
+# relation between them, so the factors y_i - y_j + a*h + b*c that fill the
+# numerators here do not vanish at the point, as they would at small
+# consecutive integers.
+_CERT_PRIME = 2**61 - 1
+_CERT_BASE = 0x9E3779B97F4A7C15
+
+
+def _power_product(values, exponents, p):
+    out = 1
+    for v, e in zip(values, exponents):
+        if e:
+            out = out * pow(v, e, p) % p
+    return out
+
+
+def _vanishes_mod_p(f, form):
+    """False when f is provably nonzero on the hyperplane of form.
+
+    Evaluates f modulo _CERT_PRIME at the base point with y_r moved onto
+    y_r = y_s - a*h - b*c.  True means the residue is 0, or that a
+    coefficient denominator is divisible by the prime, so there is none.
+    Numerators are summed per denominator, so each distinct denominator is
+    inverted once, and the x/c/h and y parts of each monomial are computed
+    once per distinct exponent vector.
+    """
+    p = _CERT_PRIME
+    n = f.ctx.n
+    point = [pow(_CERT_BASE, k, p) for k in range(1, 2 * n + 3)]
+    rest, ys = point[:n] + point[2 * n :], point[n : 2 * n]
+    ys[form.r] = (ys[form.s] - form.a * point[2 * n + 1] - form.b * point[2 * n]) % p
+    rest_part, y_part, by_den = {}, {}, {}
+    for (xe, ye, ce, he), coeff in f.terms.items():
+        num, den = coeff.as_integer_ratio()
+        key = (xe, ce, he)
+        rv = rest_part.get(key)
+        if rv is None:
+            rv = rest_part[key] = _power_product(rest, xe + (ce, he), p)
+        yv = y_part.get(ye)
+        if yv is None:
+            yv = y_part[ye] = _power_product(ys, ye, p)
+        by_den[den] = by_den.get(den, 0) + num * rv * yv
+    total = 0
+    for den, num in by_den.items():
+        if not den % p:
+            return True
+        total += num * pow(den, -1, p)
+    return total % p == 0
+
+
 def exact_divide(f, form):
     """Divide f by a linear form, returning the quotient or None.
 
-    Synthetic division in y_r against y_r = y_s - a*h - b*c; the remainder
-    must vanish identically for the division to count as exact.
+    The form divides f exactly when f vanishes on its hyperplane
+    y_r = y_s - a*h - b*c.  So f is first evaluated modulo a prime at one
+    fixed point of that hyperplane.  If f were divisible, its rational value
+    there would be 0 and so would the residue; a nonzero residue therefore
+    proves non-divisibility, and None is returned at once.  A zero residue
+    (or a coefficient with no residue) proves nothing and always falls
+    through to the real division, so a quotient is only ever returned after
+    an exact check.
+
+    The real division is synthetic division in y_r on the term dict: from the
+    top y_r-degree down, each term moves into the quotient one degree lower
+    and its multiple of (y_r - y_s + a*h + b*c) leaves the remainder.  The
+    division is exact when nothing of y_r-degree 0 remains.
     """
     if not f:
         return f
-    ctx = f.ctx
-    r = form.r
+    if not _vanishes_mod_p(f, form):
+        return None
+    r, s, a, b = form.r, form.s, form.a, form.b
     by_degree = {}
-    for (xe, ye, ce, he), coeff in f.terms.items():
-        k = ye[r]
-        stripped = (xe, ye[:r] + (0,) + ye[r + 1 :], ce, he)
-        bucket = by_degree.setdefault(k, {})
-        bucket[stripped] = bucket.get(stripped, ZERO) + coeff
-    top = max(by_degree)
-    if top == 0:
+    for key, coeff in f.terms.items():
+        by_degree.setdefault(key[1][r], {})[key] = coeff
+    quotient = {}
+    for k in range(max(by_degree), 0, -1):
+        lower = by_degree.setdefault(k - 1, {})
+        for (xe, ye, ce, he), coeff in by_degree.get(k, {}).items():
+            if not coeff:
+                continue
+            ye = ye[:r] + (k - 1,) + ye[r + 1 :]
+            quotient[(xe, ye, ce, he)] = coeff
+            # coeff * y_r^k = coeff * y_r^(k-1) * (form + y_s - a*h - b*c)
+            for key, step in (
+                ((xe, ye[:s] + (ye[s] + 1,) + ye[s + 1 :], ce, he), coeff),
+                ((xe, ye, ce, he + 1), -a * coeff),
+                ((xe, ye, ce + 1, he), -b * coeff),
+            ):
+                if step:
+                    lower[key] = lower.get(key, ZERO) + step
+    if any(by_degree[0].values()):
         return None
-    levels = [
-        LaurentPoly(ctx, by_degree.get(k, {})) for k in range(top + 1)
-    ]
-    t = LaurentPoly.y(ctx, form.s)
-    if form.a:
-        t = t - LaurentPoly.h(ctx) * form.a
-    if form.b:
-        t = t - LaurentPoly.c(ctx) * form.b
-    quotient_levels = [None] * top
-    carry = levels[top]
-    for k in range(top - 1, -1, -1):
-        quotient_levels[k] = carry
-        carry = levels[k] + t * carry
-    if carry:
-        return None
-    y_r = LaurentPoly.y(ctx, r)
-    out = LaurentPoly.zero(ctx)
-    power = LaurentPoly.one(ctx)
-    for k in range(top):
-        out = out + quotient_levels[k] * power
-        power = power * y_r
-    return out
+    return LaurentPoly(f.ctx, quotient)
 
 
 class RationalFunction:
@@ -403,27 +458,27 @@ class RationalFunction:
 
     Construction cancels every denominator factor that divides the numerator
     exactly, so a polynomial-valued function always ends with an empty
-    denominator.
+    denominator.  One pass over the sorted forms suffices: a form that does
+    not divide the numerator divides no quotient of it either, so each copy
+    of a form is tried until the first miss and the copies after it are kept.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
-        den = sorted(den)
-        changed = True
-        while changed and num and den:
-            changed = False
-            for idx, form in enumerate(den):
-                q = exact_divide(num, form)
-                if q is not None:
-                    num = q
-                    del den[idx]
-                    changed = True
-                    break
-        if not num:
-            den = []
+        kept = []
+        if num:
+            missed = None
+            for form in sorted(den):
+                if form != missed:
+                    q = exact_divide(num, form)
+                    if q is not None:
+                        num = q
+                        continue
+                    missed = form
+                kept.append(form)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", tuple(den))
+        object.__setattr__(self, "den", tuple(kept))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")

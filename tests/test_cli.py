@@ -1,6 +1,10 @@
 """Verification-suite front end: configs, reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,8 +49,9 @@ def test_config_validation():
         CheckConfig("all", rank="2")
     with pytest.raises(ValueError):
         CheckConfig("all", d_max=-1)
-    with pytest.raises(ValueError):
-        CheckConfig("all", budget=0)
+    for budget in (0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="budget must be a positive finite number"):
+            CheckConfig("all", budget=budget)
     cfg = CheckConfig("splitting", seed=7)
     echo = cfg.echo()
     assert echo["suite"] == "splitting"
@@ -210,12 +215,13 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
         (["dims", "--rank", "3", "--d", "1", "--xmax", "4", "--ymax", "6"], None, "10500"),
         (["eval", "--expr", "s5 q", "--rank", "2"], None, "position"),
         (["verify", "chain-example", "--budget", "0"], None, "budget"),
+        (["verify", "splitting", "--budget", "nan"], None, "finite"),
         (["verify", "abelian-zalg", "--matter-config"], None, "No such file"),
         (["verify", "abelian-zalg", "--matter-config"], "{not json", "line 1"),
         (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1}', "'characters'"),
         (["verify", "abelian-zalg", "--matter-config"], "[1]", "malformed"),
     ],
-    ids=["root-data", "window", "parse", "budget", "no-file", "bad-json", "missing-key", "not-a-record"],
+    ids=["root-data", "window", "parse", "budget", "budget-nan", "no-file", "bad-json", "missing-key", "not-a-record"],
 )
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, matter, expect):
     if argv[-1] == "--matter-config":
@@ -229,3 +235,18 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, matter, expect
     assert captured.err.count("\n") == 1
     assert expect in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "diffalg", "verify", "splitting", "--rank", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "suite splitting: 1 pass, 0 fail" in done.stdout

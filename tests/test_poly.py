@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffalg import poly
 from diffalg.poly import (
     LaurentPoly,
     LinearForm,
@@ -196,6 +197,118 @@ def test_exact_divide_by_linear_form():
     assert exact_divide(product, form) == g
     assert exact_divide(y(0) * y(1), form) is None
     assert exact_divide(x(0), form) is None
+
+
+def _random_poly_strategy(st, ctx, max_terms=6):
+    """Polynomials with x exponents of either sign and non-integral coefficients."""
+    n = ctx.n
+    key = st.tuples(
+        st.tuples(*[st.integers(-2, 2)] * n),
+        st.tuples(*[st.integers(0, 2)] * n),
+        st.integers(0, 1),
+        st.integers(0, 1),
+    )
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.dictionaries(key, coeff, max_size=max_terms).map(lambda terms: LaurentPoly(ctx, terms))
+
+
+def _form_strategy(st, ctx):
+    """Forms y_r - y_s + a*h + b*c with a and b nonzero."""
+    nonzero = st.integers(-3, 3).filter(bool)
+    pair = st.tuples(st.integers(0, ctx.n - 1), st.integers(0, ctx.n - 1)).filter(lambda rs: rs[0] < rs[1])
+    return st.builds(lambda rs, a, b: LinearForm(rs[0], rs[1], a, b), pair, nonzero, nonzero)
+
+
+def _hypothesis_settings(hypothesis):
+    return hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def test_exact_divide_recovers_random_cofactors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(_random_poly_strategy(st, CTX3), _form_strategy(st, CTX3))
+    def check(g, form):
+        assert exact_divide(form.to_poly(CTX3) * g, form) == g
+
+    check()
+
+
+def test_exact_divide_agrees_with_sympy_remainder():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    xs = sympy.symbols("x1:4")
+    ys = sympy.symbols("y1:4")
+    c, h = sympy.symbols("c h")
+
+    def to_sympy(f):
+        return sum(
+            sympy.Rational(coeff.numerator, coeff.denominator)
+            * sympy.Mul(*[v**e for v, e in zip(xs + ys, xe + ye)])
+            * c**ce
+            * h**he
+            for (xe, ye, ce, he), coeff in f.terms.items()
+        )
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(
+        _random_poly_strategy(st, CTX3),
+        _random_poly_strategy(st, CTX3, max_terms=2),
+        _form_strategy(st, CTX3),
+    )
+    def check(g, noise, form):
+        # form * g is a hit; adding a small noise term usually makes a miss
+        f = form.to_poly(CTX3) * g + noise
+        divisor = ys[form.r] - ys[form.s] + form.a * h + form.b * c
+        remainder = sympy.rem(to_sympy(f), divisor, ys[form.r])
+        q = exact_divide(f, form)
+        if q is None:
+            assert remainder != 0
+        else:
+            assert remainder == 0
+            assert q * form.to_poly(CTX3) == f
+
+    check()
+
+
+def test_certificate_falls_through_when_a_denominator_is_the_prime():
+    form = LinearForm(0, 1, 2, -1)
+    g = LaurentPoly.x(CTX2, 0, -1) * Fraction(1, poly._CERT_PRIME) + y(1)
+    f = form.to_poly(CTX2) * g
+    assert poly._vanishes_mod_p(f, form)
+    assert exact_divide(f, form) == g
+    miss = y(0) * g
+    assert poly._vanishes_mod_p(miss, form)
+    assert exact_divide(miss, form) is None
+
+
+def test_zero_at_the_fixed_point_without_divisibility_is_a_miss():
+    form = LinearForm(0, 1, 1, 1)
+    # x1 takes the residue of _CERT_BASE at the fixed point, so f vanishes there
+    x1_value = poly._CERT_BASE % poly._CERT_PRIME
+    f = y(0) * (x(0) - x1_value)
+    assert poly._vanishes_mod_p(f, form)
+    assert exact_divide(f, form) is None
+
+
+def test_cancellation_is_one_pass_over_the_sorted_forms(monkeypatch):
+    big, small = LinearForm(0, 1, 1, 0), LinearForm(0, 1, 0, 0)
+    g = x(0) * y(1) + LaurentPoly.c(CTX2)
+    calls = []
+
+    def counting(f, form):
+        calls.append(form)
+        return exact_divide(f, form)
+
+    monkeypatch.setattr(poly, "exact_divide", counting)
+    r = RationalFunction(big.to_poly(CTX2) ** 2 * g, [big, small, big, small])
+    assert r.num == g
+    assert r.den == (small, small)
+    # the first copy of small misses and the second is kept untried; both
+    # copies of big are hits; nothing is retried after a hit
+    assert calls == [small, big, big]
 
 
 def test_rational_function_cancels_automatically():
