@@ -98,8 +98,7 @@ class CheckConfig:
     variables; the caps bound the degrees and windows the suites sweep;
     ``seed`` drives all randomness; ``budget`` is the per-suite time budget
     in seconds; ``matter`` optionally replaces the built-in character
-    configurations of the abelian suite; ``corrupt`` deliberately injects a
-    failing check (used to exercise the failure path end to end).
+    configurations of the abelian suite.
     """
 
     __slots__ = (
@@ -110,7 +109,6 @@ class CheckConfig:
         "seed",
         "budget",
         "matter",
-        "corrupt",
     )
 
     def __init__(
@@ -122,7 +120,6 @@ class CheckConfig:
         seed=0,
         budget=600.0,
         matter=None,
-        corrupt=False,
     ):
         if not isinstance(rank, int) or rank < 1:
             raise InvalidRank(f"rank must be a positive integer, got {rank!r}")
@@ -138,7 +135,6 @@ class CheckConfig:
         self.seed = seed
         self.budget = float(budget)
         self.matter = matter
-        self.corrupt = bool(corrupt)
 
     def echo(self):
         """The config as a plain mapping, embedded in serialized reports."""
@@ -150,7 +146,6 @@ class CheckConfig:
             "seed": self.seed,
             "budget": self.budget,
             "matter": self.matter,
-            "corrupt": self.corrupt,
         }
 
 
@@ -225,9 +220,9 @@ def _default_matters():
     ]
 
 
-def _random_poly(rng, ctx, terms=2):
+def _random_poly(rng, ctx):
     out = LaurentPoly.zero(ctx)
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 2)):
         ye = tuple(rng.randint(0, 2) for _ in range(ctx.n))
         out = out + LaurentPoly.monomial(
             ctx,
@@ -262,7 +257,7 @@ def _random_abelian(rng, matter, i, j, monomial=False):
 
 def _suite_daha_relations(cfg, rng):
     def relations():
-        results = daha.verify_relations(cfg.rank, corrupt=cfg.corrupt)
+        results = daha.verify_relations(cfg.rank)
         for label, ok, witness in results:
             if not ok:
                 return False, f"{label}: {witness}"
@@ -406,7 +401,7 @@ def _suite_factorization(cfg, rng):
     for d in range(1, min(cfg.d_max, 3) + 1):
         def check(d=d):
             for lam in dominant_coweights(n, 2, -2):
-                rep = verify_factorization(lam, d, n)
+                rep = verify_factorization(lam, d)
                 if not rep["ok"]:
                     return False, f"lam={lam}: scale {rep['scale']}"
                 if rep["sign"] not in (1, -1):
@@ -492,15 +487,6 @@ def _suite_ideal_membership(cfg, rng):
         return True, None
 
     steps.append(("divided classes on the unit-gap box stay in the ideal", unit_gap_reduced))
-
-    if cfg.corrupt:
-        def corrupted():
-            ok, witness = membership(LaurentPoly.one(ctx), IdealSpec(roots, 1))
-            if ok:
-                return True, None
-            return False, witness["coefficient"]
-
-        steps.append(("corrupted input is rejected (expected failure)", corrupted))
     return steps
 
 
@@ -696,7 +682,6 @@ def _build_parser():
     verify.add_argument("--budget", type=float, default=600.0, help="per-suite budget in seconds")
     verify.add_argument("--out", help="write the JSON report to this path")
     verify.add_argument("--matter-config", help="JSON file with abelian matter characters")
-    verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     dims = sub.add_parser("dims", help="dimension of a windowed ideal slice")
     dims.add_argument("--rank", type=int, required=True)
@@ -729,7 +714,6 @@ def _cmd_verify(args):
         seed=args.seed,
         budget=args.budget,
         matter=matter,
-        corrupt=args.corrupt,
     )
     report = run_suite(cfg)
     for entry in report.entries:
@@ -750,10 +734,10 @@ def _cmd_verify(args):
 
 
 def _cmd_dims(args):
-    config = {"kind": args.kind}
     if args.kind == "A":
-        config["rank"] = args.rank
-    roots = RootData.from_config(config)
+        roots = RootData.type_a(args.rank)
+    else:
+        roots = RootData.b2() if args.kind == "B2" else RootData.g2()
     if roots.rank != args.rank:
         raise InvalidRank(f"kind {args.kind} fixes rank {roots.rank}, got {args.rank}")
     spec = IdealSpec(roots, args.d)

@@ -62,7 +62,7 @@ class DiffReflOp:
         clean = {}
         for key, coeff in terms.items():
             if isinstance(coeff, LaurentPoly):
-                coeff = RationalFunction.from_poly(coeff)
+                coeff = RationalFunction(coeff)
             if not coeff.is_zero():
                 clean[key] = coeff
         object.__setattr__(self, "ctx", ctx)
@@ -208,7 +208,7 @@ def op_scalar(ctx, value):
     if isinstance(value, (int, Fraction)):
         value = LaurentPoly.const(ctx, value)
     key = (identity_perm(ctx.n), (0,) * ctx.n)
-    return DiffReflOp(ctx, {key: RationalFunction.from_poly(value)})
+    return DiffReflOp(ctx, {key: RationalFunction(value)})
 
 
 def op_perm(ctx, w):
@@ -223,15 +223,13 @@ def op_u(ctx, lam):
 
 def op_y(ctx, i):
     key = (identity_perm(ctx.n), (0,) * ctx.n)
-    return DiffReflOp(ctx, {key: RationalFunction.from_poly(LaurentPoly.y(ctx, i))})
+    return DiffReflOp(ctx, {key: RationalFunction(LaurentPoly.y(ctx, i))})
 
 
-def op_sigma(ctx, i, c_shift=0, corrupt=False):
+def op_sigma(ctx, i, c_shift=0):
     """Reflection generator sigma_i for adjacent positions (0-indexed i).
 
     With c_shift = m the parameter c is replaced by c + m*h throughout.
-    corrupt flips one coefficient sign, giving a deliberately wrong operator
-    for negative controls.
     """
     n = ctx.n
     if not 0 <= i < n - 1:
@@ -241,7 +239,7 @@ def op_sigma(ctx, i, c_shift=0, corrupt=False):
     g = form.to_poly(ctx)
     zero = (0,) * n
     swap_coeff = RationalFunction(g + cc, [form])
-    id_coeff = RationalFunction(cc if corrupt else -cc, [form])
+    id_coeff = RationalFunction(-cc, [form])
     return DiffReflOp(
         ctx,
         {
@@ -523,10 +521,10 @@ def e_lambda(ctx, lam, mode="closed", c_shift=0):
 # -- relation checks ---------------------------------------------------------
 
 
-def verify_relations(n, corrupt=False):
+def verify_relations(n):
     """Check the defining relations; returns (label, ok, witness) triples."""
     ctx = VarContext(n)
-    sigmas = [op_sigma(ctx, i, corrupt=corrupt) for i in range(n - 1)]
+    sigmas = [op_sigma(ctx, i) for i in range(n - 1)]
     pi = op_pi(ctx)
     ys = [op_y(ctx, k) for k in range(n)]
     ident = DiffReflOp.identity(ctx)

@@ -42,7 +42,12 @@ class UnsupportedRootData(ValueError):
 
 
 class WindowTooLarge(ValueError):
-    """Raised when a window exceeds the configured monomial cap."""
+    """Raised when a window has more than WINDOW_CAP monomials."""
+
+
+# Largest window graded_dimension accepts; it bounds the width of the dense
+# row reduction.
+WINDOW_CAP = 6000
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -381,14 +386,14 @@ class GradedSlice:
         }
 
 
-def graded_dimension(spec, d_isotypic, window, cap=6000):
+def graded_dimension(spec, d_isotypic, window):
     """Exact basis of the windowed slice of e_d I^(d).
 
     The slice is the set of polynomials supported on the window that are
     isotypic for the sign^d character (when ``d_isotypic`` is not None) and
     lie in the symbolic power I^(spec.d).  Both conditions are linear; the
     kernel is computed exactly over the rationals.  Raises WindowTooLarge
-    when the window has more than ``cap`` monomials.
+    when the window has more than WINDOW_CAP monomials.
     """
     roots = spec.roots
     if spec.d > 0 and roots.kind != "A":
@@ -398,8 +403,8 @@ def graded_dimension(spec, d_isotypic, window, cap=6000):
     n = roots.rank
     ctx = VarContext(n)
     keys = window.monomial_keys(n)
-    if len(keys) > cap:
-        raise WindowTooLarge(f"window has {len(keys)} monomials (cap {cap})")
+    if len(keys) > WINDOW_CAP:
+        raise WindowTooLarge(f"window has {len(keys)} monomials (cap {WINDOW_CAP})")
     index = {key: t for t, key in enumerate(keys)}
     width = len(keys)
     constraints = []

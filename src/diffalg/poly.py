@@ -25,11 +25,9 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class VarContext:
-    """Ambient variable set: n pairs (x_i, y_i) plus optional parameters."""
+    """Ambient variable set: n pairs (x_i, y_i) plus the parameters c and h."""
 
     n: int
-    has_c: bool = True
-    has_h: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,10 +82,6 @@ class LaurentPoly:
             raise ValueError("exponent vector length mismatch")
         if any(e < 0 for e in ye):
             raise ValueError("y exponents must be nonnegative")
-        if ce and not ctx.has_c:
-            raise ValueError("context has no c parameter")
-        if he and not ctx.has_h:
-            raise ValueError("context has no h parameter")
         return cls(ctx, {(xe, ye, ce, he): coeff})
 
     @classmethod
@@ -135,11 +129,17 @@ class LaurentPoly:
 
     # -- arithmetic ----------------------------------------------------
 
+    def _check_ctx(self, other):
+        """Raise on operands from different contexts, whose keys do not line up."""
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.ctx, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        self._check_ctx(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, ZERO) + coeff
@@ -168,6 +168,7 @@ class LaurentPoly:
             return LaurentPoly(self.ctx, {k: v * other for k, v in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        self._check_ctx(other)
         out = {}
         for (xe1, ye1, ce1, he1), c1 in self.terms.items():
             for (xe2, ye2, ce2, he2), c2 in other.terms.items():
@@ -276,21 +277,6 @@ def subst_params(f, c_sign=1, c_to_h=0, h_sign=1):
             )
             key = (xe, ye, k, he + ce - k)
             out[key] = out.get(key, ZERO) + base_coeff * scale
-    return LaurentPoly(f.ctx, out)
-
-
-def eval_params(f, c_value=None, h_value=None):
-    """Specialise c and/or h to exact scalars (None leaves a parameter alone)."""
-    out = {}
-    for (xe, ye, ce, he), coeff in f.terms.items():
-        if c_value is not None:
-            coeff = coeff * _as_fraction(c_value) ** ce
-            ce = 0
-        if h_value is not None:
-            coeff = coeff * _as_fraction(h_value) ** he
-            he = 0
-        key = (xe, ye, ce, he)
-        out[key] = out.get(key, ZERO) + coeff
     return LaurentPoly(f.ctx, out)
 
 
@@ -484,10 +470,6 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
-    def from_poly(cls, f):
-        return cls(f, ())
-
-    @classmethod
     def zero(cls, ctx):
         return cls(LaurentPoly.zero(ctx), ())
 
@@ -546,6 +528,9 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -761,10 +746,6 @@ class _Parser:
                 self.error("negative power of a y variable")
             return LaurentPoly.y(self.ctx, index - 1) ** power
         if ch in "ch":
-            if ch == "c" and not self.ctx.has_c:
-                self.error("context has no c parameter")
-            if ch == "h" and not self.ctx.has_h:
-                self.error("context has no h parameter")
             self.pos += 1
             power = 1
             if self.peek() == "^":

@@ -18,8 +18,7 @@ later one loses the glued hyperplane).
 """
 
 from .ideals import IdealSpec, graded_dimension, membership
-from .poly import LaurentPoly, LinearForm, RationalFunction, VarContext
-from .zalg import class_to_poly
+from .poly import LaurentPoly, LinearForm, RationalFunction
 
 
 class NotInIdeal(ValueError):
@@ -158,23 +157,19 @@ def _root_linear_form(roots, root):
 
 
 def module_act(a, m, d):
-    """Multiply a degree-d algebra element into the module.
+    """Multiply a degree-d algebra element, a LaurentPoly, into the module.
 
-    ``a`` is either a LaurentPoly or a commutative class mapping (coweight ->
-    coefficient), in which case it is first flattened to its polynomial.  The
-    element must pass membership for I^(d) and be sign^d-isotypic; the result
-    lives in grade m.grade + d and is membership-verified on construction.
+    The element must pass membership for I^(d) and be sign^d-isotypic; the
+    result lives in grade m.grade + d and is membership-verified on
+    construction.
     """
     if not isinstance(m, ModuleElt):
         raise TypeError("m must be a ModuleElt")
     if not isinstance(d, int) or d < 0:
         raise ValueError("degree d must be a non-negative integer")
     roots = m.module.roots
-    ctx = VarContext(roots.rank)
-    if isinstance(a, dict):
-        a = class_to_poly(ctx, a)
     if not isinstance(a, LaurentPoly):
-        raise TypeError("a must be a LaurentPoly or a class mapping")
+        raise TypeError("a must be a LaurentPoly")
     if a:
         ok, witness = membership(a, IdealSpec(roots, d))
         if not ok:

@@ -101,7 +101,7 @@ def _mat_det(m):
     return total
 
 
-def _close_group(generators, size_limit=64):
+def _close_group(generators, size_limit):
     identity = tuple(
         tuple(1 if i == j else 0 for j in range(len(generators[0])))
         for i in range(len(generators[0]))
@@ -135,19 +135,6 @@ class RootData:
     rank: int
     elements: tuple
     positive_roots: tuple
-
-    @staticmethod
-    def from_config(data):
-        """Build from a mapping with key ``kind`` (A, B2, G2) and, for kind A,
-        ``rank``."""
-        kind = str(data["kind"]).upper()
-        if kind == "A":
-            return RootData.type_a(int(data["rank"]))
-        if kind == "B2":
-            return RootData.b2()
-        if kind == "G2":
-            return RootData.g2()
-        raise ValueError(f"unknown root datum kind: {data['kind']!r}")
 
     @staticmethod
     def type_a(n):

@@ -464,7 +464,7 @@ def class_localized(lam, f, i, j):
     return SphericalClass(ctx, i, j, terms, exact=minuscule)
 
 
-def class_commutative(lam, f, d, roots=None, normalization="reduced"):
+def class_commutative(lam, f, d, roots, normalization="reduced"):
     """Commutative-limit class of a dressed coweight for any root datum.
 
     With the parameters switched off, the class of ``f . u^lam`` at level d
@@ -476,18 +476,15 @@ def class_commutative(lam, f, d, roots=None, normalization="reduced"):
     than d in absolute value.  ``normalization`` chooses between this
     ``"reduced"`` form and the ``"raw"`` form, which is the reduced form
     multiplied coefficientwise by the d-th power of the product of all
-    positive root forms.  Returns a map coweight -> LaurentPoly.
+    positive root forms.  ``f`` is a LaurentPoly.  Returns a map coweight ->
+    LaurentPoly.
     """
     lam = tuple(lam)
-    if roots is None:
-        roots = RootData.type_a(len(lam))
     if roots.rank != len(lam):
         raise ValueError("coweight length must match the root datum rank")
     if normalization not in ("reduced", "raw"):
         raise ValueError(f"unknown normalization: {normalization!r}")
-    ctx = f.ctx if isinstance(f, LaurentPoly) else VarContext(roots.rank)
-    if isinstance(f, (int, Fraction)):
-        f = LaurentPoly.const(ctx, f)
+    ctx = f.ctx
     base = f
     for root in roots.positive_roots:
         value = abs(roots.root_value(root, lam))
@@ -611,7 +608,7 @@ def split_coweight(lam, d):
     return split
 
 
-def verify_factorization(lam, d, n=None):
+def verify_factorization(lam, d):
     """Compare leading coefficients of a raw class against its split product.
 
     Computes the raw commutative-limit class of lam at level d and the
@@ -625,10 +622,7 @@ def verify_factorization(lam, d, n=None):
     lhs/rhs witness texts.
     """
     lam = tuple(lam)
-    if n is None:
-        n = len(lam)
-    elif n != len(lam):
-        raise ValueError("coweight length does not match n")
+    n = len(lam)
     roots = RootData.type_a(n)
     ctx = VarContext(n)
     one = LaurentPoly.one(ctx)
@@ -685,14 +679,18 @@ def _distinct_pairs(lam):
     )
 
 
-def match_conventions(n, shift_range=2):
+# Largest |m| in the c -> c + m*h shifts match_conventions searches.
+SHIFT_RANGE = 2
+
+
+def match_conventions(n):
     """Find the dictionary aligning the localized and spherical conventions.
 
     Probes with the first fundamental coweight (1, 0, ..., 0) at tags (0, 0).
     The spherical side is the collapsed symmetric action of the closed-form
     operator from :mod:`diffalg.daha`, scaled by orbit size over stabilizer
     size; the localized side is ``class_localized``.  The search box covers a
-    sign for c, a shift of c by m*h with |m| <= shift_range, and a global
+    sign for c, a shift of c by m*h with |m| <= SHIFT_RANGE, and a global
     orientation sign applied once per pair of distinct coweight entries.
 
     Returns {"c_sign": +-1, "h_shift": m, "pair_sign": +-1}.  Raises
@@ -715,7 +713,7 @@ def match_conventions(n, shift_range=2):
     hits = []
     for pair_sign in (1, -1):
         for c_sign in (1, -1):
-            for m in range(-shift_range, shift_range + 1):
+            for m in range(-SHIFT_RANGE, SHIFT_RANGE + 1):
                 transformed = {}
                 for mu, coeff in localized.terms.items():
                     image = coeff.subst_c(c_sign=c_sign, c_to_h=m)

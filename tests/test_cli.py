@@ -20,7 +20,9 @@ from diffalg.cli import (
     run_suite,
     serialize,
 )
-from diffalg.poly import VarContext, parse_poly
+from diffalg.ideals import IdealSpec, membership
+from diffalg.poly import LaurentPoly, VarContext, parse_poly
+from diffalg.weyl import RootData
 
 ALL_SUITES = (
     "daha-relations",
@@ -36,6 +38,8 @@ ALL_SUITES = (
     "springer-module",
     "chain-example",
 )
+
+CTX2 = VarContext(2)
 
 
 def test_registered_suite_names():
@@ -124,23 +128,39 @@ def test_exhausted_budget_skips_steps():
     assert not report.all_pass()
 
 
-def test_corrupt_run_reports_parseable_witness():
-    report = run_suite(CheckConfig("ideal-membership", corrupt=True))
+def _inject_failing_step(monkeypatch):
+    """Append to chain-example a step whose membership test fails."""
+    real = cli.SUITES["chain-example"]
+
+    def suite(cfg, rng):
+        def non_member():
+            ok, witness = membership(LaurentPoly.one(CTX2), IdealSpec(RootData.type_a(2), 1))
+            return ok, None if ok else witness["coefficient"]
+
+        return real(cfg, rng) + [("non-member is rejected (expected failure)", non_member)]
+
+    monkeypatch.setitem(cli.SUITES, "chain-example", suite)
+
+
+def test_corrupt_run_reports_parseable_witness(monkeypatch):
+    _inject_failing_step(monkeypatch)
+    report = run_suite(CheckConfig("chain-example"))
     failing = [e for e in report.entries if e["status"] == "fail"]
     assert len(failing) == 1
     assert "expected failure" in failing[0]["label"]
     witness = failing[0]["witness"]
-    assert parse_poly(witness, VarContext(2)).is_constant()
+    assert parse_poly(witness, CTX2).is_constant()
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["verify", "daha-relations", "--rank", "0"]) == 2
     capsys.readouterr()
     assert main(["verify", "chain-example"]) == 0
     out = capsys.readouterr().out
     assert "suite chain-example" in out
     assert "[   pass]" in out
-    assert main(["verify", "ideal-membership", "--corrupt"]) == 1
+    _inject_failing_step(monkeypatch)
+    assert main(["verify", "chain-example"]) == 1
 
 
 def test_main_writes_report_file(tmp_path):

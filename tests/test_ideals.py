@@ -108,7 +108,7 @@ def test_window_validation():
 
 def test_window_cap_guards_blowup():
     with pytest.raises(WindowTooLarge):
-        graded_dimension(IdealSpec(ROOTS2, 1), None, Window(0, 9, 9), cap=10)
+        graded_dimension(IdealSpec(ROOTS2, 1), None, Window(0, 19, 9))
 
 
 def test_graded_dimensions_on_the_narrow_window():

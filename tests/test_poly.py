@@ -14,7 +14,6 @@ from diffalg.poly import (
     VarContext,
     act,
     act_perm,
-    eval_params,
     exact_divide,
     parse_poly,
     poly_to_text,
@@ -23,6 +22,7 @@ from diffalg.poly import (
     taylor_pair,
 )
 from diffalg.daha import DiffReflOp
+from diffalg.ideals import span_dimension
 from diffalg.weyl import RootData
 
 CTX2 = VarContext(2)
@@ -73,9 +73,6 @@ def test_monomial_validation():
         LaurentPoly.monomial(CTX2, ye=(-1, 0))
     with pytest.raises(ValueError):
         LaurentPoly.monomial(CTX2, xe=(1, 0, 0))
-    bare = VarContext(2, has_c=False, has_h=True)
-    with pytest.raises(ValueError):
-        LaurentPoly.monomial(bare, ce=1)
 
 
 def test_zero_test_is_truthiness():
@@ -89,6 +86,16 @@ def test_laurent_exponents_multiply_out():
     f = LaurentPoly.x(CTX2, 0, -2) * x(0, 5)
     assert f == x(0, 3)
     assert (LaurentPoly.x(CTX2, 0, -1) * x(0)).is_constant()
+
+
+def test_mixed_contexts_are_rejected():
+    a = LaurentPoly.x(VarContext(2), 0)
+    b = LaurentPoly.x(VarContext(3), 2)
+    for combine in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: a - b):
+        with pytest.raises(ValueError, match="context mismatch"):
+            combine()
+    # equal contexts built separately still combine
+    assert a * LaurentPoly.x(VarContext(2), 1) == x(0) * x(1)
 
 
 def test_binomial_power():
@@ -166,7 +173,6 @@ def test_parameter_substitutions():
     c = LaurentPoly.c(CTX2)
     h = LaurentPoly.h(CTX2)
     assert g == (-c + h) * y(0) + h
-    assert eval_params(f, c_value=Fraction(1, 2), h_value=0) == y(0) * Fraction(1, 2)
 
 
 def test_isotypic_projection():
@@ -235,22 +241,31 @@ def test_exact_divide_recovers_random_cofactors():
     check()
 
 
-def test_exact_divide_agrees_with_sympy_remainder():
-    hypothesis = pytest.importorskip("hypothesis")
-    sympy = pytest.importorskip("sympy")
-    st = hypothesis.strategies
+def _sympy_rank3(sympy):
+    """Symbols x1..x3, y1..y3, c, h and a converter from LaurentPoly on CTX3."""
     xs = sympy.symbols("x1:4")
     ys = sympy.symbols("y1:4")
     c, h = sympy.symbols("c h")
 
     def to_sympy(f):
-        return sum(
-            sympy.Rational(coeff.numerator, coeff.denominator)
-            * sympy.Mul(*[v**e for v, e in zip(xs + ys, xe + ye)])
-            * c**ce
-            * h**he
-            for (xe, ye, ce, he), coeff in f.terms.items()
+        return sympy.Add(
+            *[
+                sympy.Rational(coeff.numerator, coeff.denominator)
+                * sympy.Mul(*[v**e for v, e in zip(xs + ys, xe + ye)])
+                * c**ce
+                * h**he
+                for (xe, ye, ce, he), coeff in f.terms.items()
+            ]
         )
+
+    return xs, ys, c, h, to_sympy
+
+
+def test_exact_divide_agrees_with_sympy_remainder():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    xs, ys, c, h, to_sympy = _sympy_rank3(sympy)
 
     @_hypothesis_settings(hypothesis)
     @hypothesis.given(
@@ -269,6 +284,65 @@ def test_exact_divide_agrees_with_sympy_remainder():
         else:
             assert remainder == 0
             assert q * form.to_poly(CTX3) == f
+
+    check()
+
+
+def test_product_agrees_with_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    to_sympy = _sympy_rank3(sympy)[-1]
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(_random_poly_strategy(st, CTX3), _random_poly_strategy(st, CTX3))
+    def check(f, g):
+        assert sympy.expand(to_sympy(f * g) - to_sympy(f) * to_sympy(g)) == 0
+
+    check()
+
+
+def test_taylor_pair_agrees_with_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    xs, ys, c, h, to_sympy = _sympy_rank3(sympy)
+    u, v = sympy.symbols("u v")
+    order = 3
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(
+        _random_poly_strategy(st, CTX3),
+        st.permutations(range(3)).map(lambda p: tuple(p[:2])),
+    )
+    def check(f, pair):
+        i, j = pair
+        # taylor_pair first clears negative powers of x_i by a unit
+        clear = max([0] + [-xe[i] for xe, _, _, _ in f.terms])
+        cleared = sympy.expand(to_sympy(f) * xs[i] ** clear)
+        moved = sympy.expand(cleared.subs({xs[i]: xs[j] + u, ys[i]: ys[j] + v}, simultaneous=True))
+        coeffs = taylor_pair(f, pair, order)
+        assert set(coeffs) == {(a, b) for a in range(order) for b in range(order - a)}
+        for (a, b), value in coeffs.items():
+            assert sympy.expand(to_sympy(value) - moved.coeff(u, a).coeff(v, b)) == 0
+
+    check()
+
+
+def test_span_dimension_agrees_with_sympy_rank():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    matrix = st.integers(1, 5).flatmap(
+        lambda width: st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=6)
+    )
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(matrix)
+    def check(rows):
+        rows = [[Fraction(value) for value in row] for row in rows]
+        assert span_dimension(rows) == sympy.Matrix(rows).rank()
 
     check()
 
@@ -330,6 +404,13 @@ def test_rational_function_arithmetic():
     assert a * b == RationalFunction(x(0) * x(1), [form, form])
     acted = a.act(((1, 0), (0, 0)))
     assert acted == RationalFunction(x(1), [form]) * -1
+
+
+def test_rational_function_right_subtraction():
+    rf = RationalFunction(x(0), [LinearForm(0, 1, 1, 0)])
+    assert 1 - rf == -(rf - 1)
+    assert y(0) - rf == -(rf - y(0))
+    assert (1 - rf) + rf == 1
 
 
 def test_rational_function_denominator_poly():

@@ -17,6 +17,7 @@ from diffalg.springer import (
     module_slice_basis,
 )
 from diffalg.weyl import RootData
+from diffalg.zalg import class_to_poly
 
 CTX2 = VarContext(2)
 ROOTS2 = RootData.type_a(2)
@@ -67,15 +68,17 @@ def test_pinned_action_raises_the_grade():
     assert out.value == a
 
 
-def test_action_accepts_class_mappings():
+def test_action_on_a_flattened_class_mapping():
     mod = EquivaluedModule(ROOTS2, 0)
     m = mod.element(0, LaurentPoly.one(CTX2))
     mapping = {
         (1, 0): LaurentPoly.const(CTX2, Fraction(1, 2)),
         (0, 1): LaurentPoly.const(CTX2, Fraction(-1, 2)),
     }
-    out = module_act(mapping, m, 1)
+    out = module_act(class_to_poly(CTX2, mapping), m, 1)
     assert out.value == halved_difference()
+    with pytest.raises(TypeError):
+        module_act(mapping, m, 1)
 
 
 def test_action_gatekeeps_membership_and_isotypy():
