@@ -229,7 +229,7 @@ def _random_poly(rng, ctx):
             ye=ye,
             ce=rng.randint(0, 1),
             he=rng.randint(0, 1),
-            coeff=Fraction(rng.choice([-3, -2, -1, 1, 2, 3])),
+            coeff=rng.choice([-3, -2, -1, 1, 2, 3]),
         )
     return out
 
@@ -244,7 +244,7 @@ def _random_abelian(rng, matter, i, j, monomial=False):
                 ye=tuple(rng.randint(0, 2) for _ in range(matter.rank)),
                 ce=rng.randint(0, 1),
                 he=rng.randint(0, 1),
-                coeff=Fraction(rng.choice([-2, -1, 1, 2])),
+                coeff=rng.choice([-2, -1, 1, 2]),
             )
             terms = {lam: coeff}
             break
@@ -527,7 +527,7 @@ def _suite_springer_module(cfg, rng):
         def combo(basis):
             out = LaurentPoly.zero(ctx)
             for p in basis:
-                out = out + Fraction(rng.randint(-2, 2)) * p
+                out = out + rng.randint(-2, 2) * p
             return out
 
         for _ in range(10):

@@ -556,7 +556,7 @@ def verify_relations(n):
         for k in range(n):
             delta = (1 if k == i + 1 else 0) - (1 if k == i else 0)
             lhs = sigmas[i].compose(ys[k]) - ys[s_i[k]].compose(sigmas[i])
-            rhs = c_op * Fraction(delta) if delta else DiffReflOp.zero(ctx)
+            rhs = c_op * delta if delta else DiffReflOp.zero(ctx)
             record(f"s{i+1} y{k+1} cross relation", lhs, rhs)
     h_poly = LaurentPoly.h(ctx)
     for k in range(n):

@@ -21,7 +21,7 @@ the slice with the span of the commutative-limit classes from
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .poly import (
     LaurentPoly,
@@ -31,6 +31,7 @@ from .poly import (
     exact_divide,
     perm_sign,
     poly_to_text,
+    scalar_div,
     taylor_pair,
 )
 from .weyl import RootData, all_perms
@@ -54,7 +55,7 @@ WINDOW_CAP = 6000
 
 
 def rref(rows):
-    """Row-reduce a list of Fraction lists in place; returns (rows, pivots).
+    """Row-reduce exact rows (int and Fraction entries); returns (rows, pivots).
 
     The input rows are copied; the output rows are the nonzero rows of the
     reduced row echelon form and pivots maps pivot column -> row index.
@@ -73,7 +74,7 @@ def rref(rows):
             continue
         rows[row_at], rows[pivot] = rows[pivot], rows[row_at]
         lead = rows[row_at][col]
-        rows[row_at] = [v / lead for v in rows[row_at]]
+        rows[row_at] = [scalar_div(v, lead) for v in rows[row_at]]
         for r in range(len(rows)):
             if r != row_at and rows[r][col]:
                 factor = rows[r][col]
@@ -86,13 +87,13 @@ def rref(rows):
 
 
 def nullspace(rows, width):
-    """Basis of the kernel of the given constraint rows (Fraction lists)."""
+    """Basis of the kernel of the given exact constraint rows."""
     reduced, pivots = rref(rows)
     free = [col for col in range(width) if col not in pivots]
     basis = []
     for col in free:
-        vec = [Fraction(0)] * width
-        vec[col] = Fraction(1)
+        vec = [0] * width
+        vec[col] = 1
         for pcol, prow in pivots.items():
             vec[pcol] = -reduced[prow][col]
         basis.append(vec)
@@ -100,7 +101,7 @@ def nullspace(rows, width):
 
 
 def span_dimension(vectors):
-    """Rank of a list of Fraction vectors."""
+    """Rank of a list of exact vectors (int and Fraction entries)."""
     reduced, _ = rref(vectors)
     return len(reduced)
 
@@ -161,7 +162,7 @@ def delta_S_direct(S):
             ye[i] = a
             xe[i] = b
         term = LaurentPoly.monomial(
-            ctx, xe=tuple(xe), ye=tuple(ye), coeff=Fraction(perm_sign(w))
+            ctx, xe=tuple(xe), ye=tuple(ye), coeff=perm_sign(w)
         )
         out = out + term
     return out * Fraction(1, factorial(n))
@@ -177,7 +178,7 @@ def schur_poly(ctx, var_indices, mu):
         for pos in range(m):
             ye[var_indices[pos]] = exps[w[pos]]
         num = num + LaurentPoly.monomial(
-            ctx, ye=tuple(ye), coeff=Fraction(perm_sign(w))
+            ctx, ye=tuple(ye), coeff=perm_sign(w)
         )
     for r, s in itertools.combinations(var_indices, 2):
         quotient = exact_divide(num, LinearForm(r, s, 0, 0))
@@ -231,7 +232,7 @@ def delta_S_schur(S):
     key = next(iter(direct.terms))
     if key not in alt.terms:
         raise ArithmeticError("Schur route is not proportional to the determinant")
-    scalar = alt.terms[key] / direct.terms[key]
+    scalar = scalar_div(alt.terms[key], direct.terms[key])
     if alt != direct * scalar:
         raise ArithmeticError("Schur route is not proportional to the determinant")
     return alt, scalar
@@ -371,7 +372,7 @@ class GradedSlice:
         for f in self.basis:
             row = []
             for xe, ye in self.columns:
-                row.append(str(f.terms.get((xe, ye, 0, 0), Fraction(0))))
+                row.append(str(f.terms.get((xe, ye, 0, 0), 0)))
             rows.append(row)
         labels = []
         for xe, ye in self.columns:
@@ -402,9 +403,10 @@ def graded_dimension(spec, d_isotypic, window):
         )
     n = roots.rank
     ctx = VarContext(n)
+    size = (window.x_max - window.x_min + 1) ** n * comb(n + window.y_max, n)
+    if size > WINDOW_CAP:
+        raise WindowTooLarge(f"window has {size} monomials (cap {WINDOW_CAP})")
     keys = window.monomial_keys(n)
-    if len(keys) > WINDOW_CAP:
-        raise WindowTooLarge(f"window has {len(keys)} monomials (cap {WINDOW_CAP})")
     index = {key: t for t, key in enumerate(keys)}
     width = len(keys)
     constraints = []
@@ -421,7 +423,7 @@ def graded_dimension(spec, d_isotypic, window):
         seen = set(targets)
         seen.update(index)
         for tkey in sorted(seen):
-            row = [Fraction(0)] * width
+            row = [0] * width
             for t, value in targets.get(tkey, {}).items():
                 row[t] += value
             if tkey in index:
@@ -442,7 +444,7 @@ def graded_dimension(spec, d_isotypic, window):
                     for order, poly in coeffs.items():
                         for key, value in poly.terms.items():
                             row = residual_rows.setdefault(
-                                (order, key), [Fraction(0)] * width
+                                (order, key), [0] * width
                             )
                             row[t] += value
                 for rkey in sorted(residual_rows):
@@ -523,7 +525,7 @@ def verify_spanning(n, d, window):
             if not ok:
                 failures.append({"lam": lam, "dressing": ye, "witness": witness})
                 continue
-            row = [Fraction(0)] * len(keys)
+            row = [0] * len(keys)
             for (xe, ye2, ce, he), value in poly.terms.items():
                 row[index[(xe, ye2)]] = value
             vectors.append(row)

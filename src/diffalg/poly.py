@@ -1,8 +1,10 @@
 """Exact multivariate Laurent polynomial and rational function arithmetic.
 
-The coefficient field is the rationals (stdlib Fraction).  A polynomial lives
-in variables x1..xn (Laurent, integer exponents of either sign), y1..yn
-(ordinary, nonnegative exponents), and two central parameters c and h.
+The coefficient field is the rationals: an integral coefficient is stored as
+an int and any other as a stdlib Fraction, never a float, and every division
+of coefficients goes through ``scalar_div``.  A polynomial lives in variables
+x1..xn (Laurent, integer exponents of either sign), y1..yn (ordinary,
+nonnegative exponents), and two central parameters c and h.
 
 Monomials are keyed by (x-exponents, y-exponents, c-exponent, h-exponent).
 The canonical form of a polynomial never stores a zero coefficient, and the
@@ -16,11 +18,11 @@ to r < s is absorbed into the numerator.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-ZERO = Fraction(0)
+from operator import add
 
 
 @dataclass(frozen=True)
@@ -34,12 +36,20 @@ class VarContext:
             raise ValueError("need at least one variable pair")
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
+def _as_scalar(value):
+    """The canonical exact scalar: int when integral, else Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"not an exact scalar: {value!r}")
+
+
+def scalar_div(a, b):
+    """The exact quotient a / b; raises ZeroDivisionError when b is 0."""
+    return _as_scalar(Fraction(a, b))
 
 
 class LaurentPoly:
@@ -50,7 +60,7 @@ class LaurentPoly:
     def __init__(self, ctx, terms):
         clean = {}
         for key, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            coeff = _as_scalar(coeff)
             if coeff:
                 clean[key] = coeff
         object.__setattr__(self, "ctx", ctx)
@@ -68,7 +78,7 @@ class LaurentPoly:
     @classmethod
     def const(cls, ctx, value):
         zero = (0,) * ctx.n
-        return cls(ctx, {(zero, zero, 0, 0): _as_fraction(value)})
+        return cls(ctx, {(zero, zero, 0, 0): _as_scalar(value)})
 
     @classmethod
     def one(cls, ctx):
@@ -125,7 +135,7 @@ class LaurentPoly:
 
     def constant_value(self):
         zero = (0,) * self.ctx.n
-        return self.terms.get((zero, zero, 0, 0), ZERO)
+        return self.terms.get((zero, zero, 0, 0), 0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -142,7 +152,7 @@ class LaurentPoly:
         self._check_ctx(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, ZERO) + coeff
+            out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.ctx, out)
 
     __radd__ = __add__
@@ -162,7 +172,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
+            other = _as_scalar(other)
             if not other:
                 return LaurentPoly.zero(self.ctx)
             return LaurentPoly(self.ctx, {k: v * other for k, v in self.terms.items()})
@@ -170,15 +180,16 @@ class LaurentPoly:
             return NotImplemented
         self._check_ctx(other)
         out = {}
+        right = list(other.terms.items())
         for (xe1, ye1, ce1, he1), c1 in self.terms.items():
-            for (xe2, ye2, ce2, he2), c2 in other.terms.items():
+            for (xe2, ye2, ce2, he2), c2 in right:
                 key = (
-                    tuple(a + b for a, b in zip(xe1, xe2)),
-                    tuple(a + b for a, b in zip(ye1, ye2)),
+                    tuple(map(add, xe1, xe2)),
+                    tuple(map(add, ye1, ye2)),
                     ce1 + ce2,
                     he1 + he2,
                 )
-                out[key] = out.get(key, ZERO) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return LaurentPoly(self.ctx, out)
 
     __rmul__ = __mul__
@@ -238,13 +249,13 @@ def shift_y(f, lam):
                     nxt.append((cur_coeff, cur_ye, cur_he))
                     continue
                 for b in range(k + 1):
-                    scale = comb(k, b) * Fraction(step) ** (k - b)
+                    scale = comb(k, b) * step ** (k - b)
                     nye = cur_ye[:i] + (b,) + cur_ye[i + 1 :]
                     nxt.append((cur_coeff * scale, nye, cur_he + (k - b)))
             expanded = nxt
         for cur_coeff, cur_ye, cur_he in expanded:
             key = (xe, cur_ye, ce, cur_he)
-            out[key] = out.get(key, ZERO) + cur_coeff
+            out[key] = out.get(key, 0) + cur_coeff
     return LaurentPoly(f.ctx, out)
 
 
@@ -264,19 +275,15 @@ def subst_params(f, c_sign=1, c_to_h=0, h_sign=1):
     """Substitute c -> c_sign*c + c_to_h*h and h -> h_sign*h."""
     out = {}
     for (xe, ye, ce, he), coeff in f.terms.items():
-        base_coeff = coeff * Fraction(h_sign) ** he
+        base_coeff = coeff * h_sign**he
         if ce == 0 or c_to_h == 0:
             key = (xe, ye, ce, he)
-            out[key] = out.get(key, ZERO) + base_coeff * Fraction(c_sign) ** ce
+            out[key] = out.get(key, 0) + base_coeff * c_sign**ce
             continue
         for k in range(ce + 1):
-            scale = (
-                comb(ce, k)
-                * Fraction(c_sign) ** k
-                * Fraction(c_to_h) ** (ce - k)
-            )
+            scale = comb(ce, k) * c_sign**k * c_to_h ** (ce - k)
             key = (xe, ye, k, he + ce - k)
-            out[key] = out.get(key, ZERO) + base_coeff * scale
+            out[key] = out.get(key, 0) + base_coeff * scale
     return LaurentPoly(f.ctx, out)
 
 
@@ -433,7 +440,7 @@ def exact_divide(f, form):
                 ((xe, ye, ce + 1, he), -b * coeff),
             ):
                 if step:
-                    lower[key] = lower.get(key, ZERO) + step
+                    lower[key] = lower.get(key, 0) + step
     if any(by_degree[0].values()):
         return None
     return LaurentPoly(f.ctx, quotient)
@@ -500,8 +507,6 @@ class RationalFunction:
             )
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        from collections import Counter
-
         mine, theirs = Counter(self.den), Counter(other.den)
         union = mine | theirs
         scale_self = LaurentPoly.one(self.ctx)
@@ -628,7 +633,7 @@ def taylor_pair(f, pair, order):
                 nye[j] += fi - b
                 key = (tuple(nxe), tuple(nye), ce, he)
                 bucket = acc[(a, b)]
-                bucket[key] = bucket.get(key, ZERO) + scale
+                bucket[key] = bucket.get(key, 0) + scale
     for key, bucket in acc.items():
         out[key] = LaurentPoly(f.ctx, bucket)
     return out

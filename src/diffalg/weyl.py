@@ -177,23 +177,21 @@ class RootData:
     def act_matrix(self, m, f):
         """Group element as substitution: y_j -> sum_i m[i][j] y_i, x^e -> x^(m e)."""
         ctx = f.ctx
-        columns = [
-            sum(
-                (LaurentPoly.y(ctx, i) * m[i][j] for i in range(self.rank)),
-                LaurentPoly.zero(ctx),
-            )
-            for j in range(self.rank)
-        ]
-        out = LaurentPoly.zero(ctx)
+        columns = [self.root_form(ctx, [row[j] for row in m]) for j in range(self.rank)]
+        powers = {}
+        out = {}
         for (xe, ye, ce, he), coeff in f.terms.items():
             piece = LaurentPoly.monomial(
                 ctx, xe=_mat_vec(m, xe), ce=ce, he=he, coeff=coeff
             )
             for j, e in enumerate(ye):
                 if e:
-                    piece = piece * columns[j] ** e
-            out = out + piece
-        return out
+                    if (j, e) not in powers:
+                        powers[j, e] = columns[j] ** e
+                    piece = piece * powers[j, e]
+            for key, c in piece.terms.items():
+                out[key] = out.get(key, 0) + c
+        return LaurentPoly(ctx, out)
 
     def stabilizer_size(self, lam):
         return sum(1 for m in self.elements if _mat_vec(m, lam) == tuple(lam))

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from diffalg import cli
+from diffalg import cli, ideals
 from diffalg.cli import (
     SUITE_NAMES,
     CheckConfig,
@@ -270,3 +271,27 @@ def test_python_dash_m_runs_the_cli_without_warnings():
     assert done.returncode == 0, done.stderr
     assert "RuntimeWarning" not in done.stderr
     assert "suite splitting: 1 pass, 0 fail" in done.stdout
+
+
+def test_full_run_row_reduces_exact_scalars_only(monkeypatch):
+    # LaurentPoly construction rejects floats itself; the row-reduction
+    # matrices are plain lists and bypass it.
+    original = ideals.rref
+    seen = []
+
+    def check_entries(rows):
+        for row in rows:
+            for value in row:
+                assert type(value) in (int, Fraction), f"inexact entry {value!r}"
+
+    def checked_rref(rows):
+        check_entries(rows)
+        reduced, pivots = original(rows)
+        check_entries(reduced)
+        seen.append(len(rows))
+        return reduced, pivots
+
+    monkeypatch.setattr(ideals, "rref", checked_rref)
+    report = run_suite(CheckConfig("all", seed=0))
+    assert report.all_pass(), [e for e in report.entries if e["status"] != "pass"]
+    assert seen

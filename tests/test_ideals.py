@@ -228,3 +228,19 @@ def test_spanning_narrow_window_dimension_five():
     assert out["slice_dim"] == 5
     assert out["generators"] >= 5
     assert out["failures"] == []
+
+
+def test_window_cap_is_checked_before_the_window_is_built(monkeypatch):
+    rank3 = Window(-1, 3, 6)
+    rank3_size = len(rank3.monomial_keys(3))
+
+    def refuse(self, n):
+        raise AssertionError("an oversized window was enumerated")
+
+    monkeypatch.setattr(Window, "monomial_keys", refuse)
+    for roots, window, size in (
+        (RootData.type_a(3), rank3, rank3_size),
+        (ROOTS2, Window(0, 120, 9), 805255),
+    ):
+        with pytest.raises(WindowTooLarge, match=rf"^window has {size} monomials \(cap 6000\)$"):
+            graded_dimension(IdealSpec(roots, 1), None, window)

@@ -63,6 +63,8 @@ def test_float_coefficients_are_rejected():
         lambda: p + 0.5,
         lambda: rf * 0.5,
         lambda: DiffReflOp.identity(CTX2) * 0.5,
+        lambda: poly.scalar_div(0.5, 2),
+        lambda: poly.scalar_div(1, 2.0),
     ):
         with pytest.raises(TypeError):
             make()
@@ -343,6 +345,77 @@ def test_span_dimension_agrees_with_sympy_rank():
     def check(rows):
         rows = [[Fraction(value) for value in row] for row in rows]
         assert span_dimension(rows) == sympy.Matrix(rows).rank()
+
+    check()
+
+
+def _is_canonical(scalar):
+    return type(scalar) is int or (type(scalar) is Fraction and scalar.denominator != 1)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    key = ((1, -1), (0, 2), 0, 1)
+    a = LaurentPoly(CTX2, {key: Fraction(3)})
+    b = LaurentPoly(CTX2, {key: 3})
+    assert a == b and hash(a) == hash(b)
+    assert type(a.terms[key]) is int
+    assert type(LaurentPoly(CTX2, {key: True}).terms[key]) is int
+    assert type((LaurentPoly.const(CTX2, Fraction(1, 2)) * 4).constant_value()) is int
+
+
+def test_operations_keep_coefficients_canonical():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(
+        _random_poly_strategy(st, CTX3),
+        _random_poly_strategy(st, CTX3),
+        _form_strategy(st, CTX3),
+        st.tuples(*[st.integers(-2, 2)] * 3),
+        st.permutations(range(3)).map(tuple),
+    )
+    def check(f, g, form, lam, w):
+        reparsed = parse_poly(poly_to_text(f), CTX3)
+        assert reparsed == f
+        results = [
+            reparsed,
+            f + g,
+            f - g,
+            f * g,
+            f * 12,
+            (f + 1) ** 2,
+            shift_y(f, lam),
+            act_perm(w, f),
+            subst_params(f, c_sign=-1, c_to_h=2, h_sign=-1),
+            exact_divide(form.to_poly(CTX3) * g, form),
+        ]
+        results.extend(taylor_pair(f, (0, 1), 3).values())
+        for result in results:
+            assert all(map(_is_canonical, result.terms.values())), result.terms
+
+    check()
+
+
+def test_scalar_div_is_exact():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalar = st.one_of(
+        st.integers(-30, 30),
+        st.booleans(),
+        st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    )
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(scalar, scalar)
+    def check(a, b):
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                poly.scalar_div(a, b)
+            return
+        q = poly.scalar_div(a, b)
+        assert _is_canonical(q)
+        assert q * b == a
 
     check()
 
