@@ -696,7 +696,7 @@ def _build_parser():
     ev = sub.add_parser("eval", help="evaluate a generator word to an operator")
     ev.add_argument("--expr", required=True, help='word such as "s1 pi y2 (c + h)"')
     ev.add_argument("--rank", type=int, default=2)
-    ev.add_argument("--cshift", type=int, default=0, help="integer multiple of h added to c")
+    ev.add_argument("--cshift", type=int, default=0, help="substitute c -> c + CSHIFT*h in the result")
     return parser
 
 
@@ -754,7 +754,7 @@ def _cmd_dims(args):
 def _cmd_eval(args):
     ctx = VarContext(args.rank)
     word = daha.parse_word(args.expr, ctx)
-    op = daha.evaluate_word(ctx, word, c_shift=args.cshift)
+    op = daha.evaluate_word(ctx, word).subst_c(c_to_h=args.cshift)
     print(daha.op_to_text(op))
     return 0
 

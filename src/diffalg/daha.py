@@ -20,12 +20,19 @@ pi^n = u^{(1,..,1)}.
 Words in these generators support the degree-reversing anti-involution
 phi(sigma_i) = -sigma_{n-i}, phi(y_i) = y_{n+1-i}, phi(pi) = pi, which sends
 h to -h on explicit scalar coefficients.
+
+The parameter shift c -> c + m*h fixes y and h, so it commutes with every
+group action act((w, lam), .) and is an algebra automorphism of these
+operators (``DiffReflOp.subst_c``).  An operator at the shifted parameter is
+therefore built at c and substituted once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
+from operator import add
 
 from .poly import (
     LaurentPoly,
@@ -34,6 +41,7 @@ from .poly import (
     RationalFunction,
     VarContext,
     act,
+    collect,
     parse_poly,
     poly_to_text,
     subst_params,
@@ -59,14 +67,8 @@ class DiffReflOp:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms):
-        clean = {}
-        for key, coeff in terms.items():
-            if isinstance(coeff, LaurentPoly):
-                coeff = RationalFunction(coeff)
-            if not coeff.is_zero():
-                clean[key] = coeff
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {k: v for k, v in terms.items() if v})
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffReflOp is immutable")
@@ -83,13 +85,7 @@ class DiffReflOp:
     def __add__(self, other):
         if not isinstance(other, DiffReflOp):
             return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            if key in out:
-                out[key] = out[key] + coeff
-            else:
-                out[key] = coeff
-        return DiffReflOp(self.ctx, out)
+        return DiffReflOp(self.ctx, collect(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return DiffReflOp(self.ctx, {k: -v for k, v in self.terms.items()})
@@ -111,20 +107,15 @@ class DiffReflOp:
 
     def compose(self, other):
         """Operator product self o other (other acts first)."""
-        out = {}
-        for (w1, l1), f1 in self.terms.items():
-            g1 = (w1, l1)
-            for (w2, l2), f2 in other.terms.items():
-                key = (
-                    perm_mul(w1, w2),
-                    tuple(a + b for a, b in zip(l1, perm_on_vector(w1, l2))),
-                )
-                coeff = f1 * f2.act(g1)
-                if key in out:
-                    out[key] = out[key] + coeff
-                else:
-                    out[key] = coeff
-        return DiffReflOp(self.ctx, out)
+        pairs = (
+            (
+                (perm_mul(w1, w2), tuple(map(add, l1, perm_on_vector(w1, l2)))),
+                f1 * f2.act((w1, l1)),
+            )
+            for (w1, l1), f1 in self.terms.items()
+            for (w2, l2), f2 in other.terms.items()
+        )
+        return DiffReflOp(self.ctx, collect(pairs))
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -135,14 +126,7 @@ class DiffReflOp:
     def __eq__(self, other):
         if not isinstance(other, DiffReflOp):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = RationalFunction.zero(self.ctx)
-        for key in keys:
-            a = self.terms.get(key, zero)
-            b = other.terms.get(key, zero)
-            if not (a - b).is_zero():
-                return False
-        return True
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash((self.ctx, frozenset(self.terms)))
@@ -164,18 +148,19 @@ class DiffReflOp:
         On symmetric inputs the operator acts through this collapsed family:
         op(f) = sum_lam collapse[lam] * shift_lam(f) whenever f is symmetric.
         """
-        out = {}
-        for (w, lam), coeff in self.terms.items():
-            if lam in out:
-                out[lam] = out[lam] + coeff
-            else:
-                out[lam] = coeff
-        return {lam: coeff for lam, coeff in out.items() if not coeff.is_zero()}
+        return collect((lam, coeff) for (w, lam), coeff in self.terms.items())
 
-    def subst_c(self, c_sign=1, c_to_h=0):
+    def subst_c(self, c_to_h):
+        """Substitute c -> c + c_to_h*h in every coefficient.
+
+        The substitution fixes y and h, so it commutes with each action
+        act((w, lam), .) that composition applies to coefficients; hence it
+        is an algebra automorphism: subst_c(a o b) = subst_c(a) o subst_c(b).
+        An operator at the shifted parameter is the substitution of the one
+        built at c.
+        """
         return DiffReflOp(
-            self.ctx,
-            {k: v.subst_c(c_sign, c_to_h) for k, v in self.terms.items()},
+            self.ctx, {k: v.subst_c(c_to_h=c_to_h) for k, v in self.terms.items()}
         )
 
     def __repr__(self):
@@ -197,22 +182,10 @@ def op_to_text(op):
 # -- generators ------------------------------------------------------------
 
 
-def _c_param(ctx, c_shift):
-    out = LaurentPoly.c(ctx)
-    if c_shift:
-        out = out + LaurentPoly.h(ctx) * c_shift
-    return out
-
-
 def op_scalar(ctx, value):
-    if isinstance(value, (int, Fraction)):
-        value = LaurentPoly.const(ctx, value)
+    """Multiplication by the polynomial value."""
     key = (identity_perm(ctx.n), (0,) * ctx.n)
     return DiffReflOp(ctx, {key: RationalFunction(value)})
-
-
-def op_perm(ctx, w):
-    return DiffReflOp(ctx, {(tuple(w), (0,) * ctx.n): RationalFunction.one(ctx)})
 
 
 def op_u(ctx, lam):
@@ -222,19 +195,15 @@ def op_u(ctx, lam):
 
 
 def op_y(ctx, i):
-    key = (identity_perm(ctx.n), (0,) * ctx.n)
-    return DiffReflOp(ctx, {key: RationalFunction(LaurentPoly.y(ctx, i))})
+    return op_scalar(ctx, LaurentPoly.y(ctx, i))
 
 
-def op_sigma(ctx, i, c_shift=0):
-    """Reflection generator sigma_i for adjacent positions (0-indexed i).
-
-    With c_shift = m the parameter c is replaced by c + m*h throughout.
-    """
+def op_sigma(ctx, i):
+    """Reflection generator sigma_i for adjacent positions (0-indexed i)."""
     n = ctx.n
     if not 0 <= i < n - 1:
         raise ValueError("reflection index out of range")
-    cc = _c_param(ctx, c_shift)
+    cc = LaurentPoly.c(ctx)
     form = LinearForm(i, i + 1)
     g = form.to_poly(ctx)
     zero = (0,) * n
@@ -264,47 +233,28 @@ def op_pi_inv(ctx):
     return DiffReflOp(ctx, {(w_inv, lam): RationalFunction.one(ctx)})
 
 
-def op_sigma_w(ctx, w, c_shift=0):
-    """sigma_w along a reduced word; well defined by the braid relations."""
-    out = DiffReflOp.identity(ctx)
-    for i in reduced_word(w):
-        out = out.compose(op_sigma(ctx, i, c_shift))
-    return out
-
-
-def op_symmetrizer(ctx, c_shift=0):
+def op_symmetrizer(ctx):
     """Average of sigma_w over the symmetric group (an idempotent)."""
-    n = ctx.n
-    total = DiffReflOp.zero(ctx)
-    for w in all_perms(n):
-        total = total + op_sigma_w(ctx, w, c_shift)
-    return total * Fraction(1, factorial(n))
+    return evaluate_word_sum(ctx, symmetrizer_word_sum(ctx.n))
 
 
 def op_plain_symmetrizer(ctx):
     """Average of the plain permutation operators."""
     n = ctx.n
-    total = DiffReflOp.zero(ctx)
-    for w in all_perms(n):
-        total = total + op_perm(ctx, w)
-    return total * Fraction(1, factorial(n))
+    scale = RationalFunction(LaurentPoly.const(ctx, Fraction(1, factorial(n))))
+    return DiffReflOp(ctx, {(w, (0,) * n): scale for w in all_perms(n)})
 
 
-def delta_poly(ctx, c_mult=0):
-    """Product of the positive root forms, optionally c-deformed.
+def delta_poly(ctx):
+    """The c-deformed Vandermonde prod_{r<s}(y_r - y_s + c).
 
-    With c_mult=0 this is the Vandermonde prod_{r<s}(y_r - y_s); with
-    c_mult=1 it is prod_{r<s}(y_r - y_s + c), which generates the image of
-    the sign idempotent inside the polynomial representation.
+    It generates the image of the sign idempotent inside the polynomial
+    representation.
     """
     out = LaurentPoly.one(ctx)
-    shift = LaurentPoly.c(ctx) * c_mult if c_mult else None
     for r in range(ctx.n):
         for s in range(r + 1, ctx.n):
-            form = LaurentPoly.y(ctx, r) - LaurentPoly.y(ctx, s)
-            if shift is not None:
-                form = form + shift
-            out = out * form
+            out = out * LinearForm(r, s, 0, 1).to_poly(ctx)
     return out
 
 
@@ -375,32 +325,29 @@ def parse_word(text, ctx):
     return tuple(tokens)
 
 
-def evaluate_word(ctx, word, c_shift=0):
+def evaluate_word(ctx, word):
     """Compose generator operators left to right (rightmost acts first)."""
     out = DiffReflOp.identity(ctx)
     for token in word:
         kind = token[0]
         if kind == "s":
-            step = op_sigma(ctx, token[1], c_shift)
+            step = op_sigma(ctx, token[1])
         elif kind == "pi":
             step = op_pi(ctx) if token[1] == 1 else op_pi_inv(ctx)
         elif kind == "y":
             step = op_y(ctx, token[1])
         elif kind == "scalar":
-            scalar = token[1]
-            if c_shift:
-                scalar = subst_params(scalar, c_to_h=c_shift)
-            step = op_scalar(ctx, scalar)
+            step = op_scalar(ctx, token[1])
         else:
             raise ValueError(f"unknown token {token!r}")
         out = out.compose(step)
     return out
 
 
-def evaluate_word_sum(ctx, word_sum, c_shift=0):
+def evaluate_word_sum(ctx, word_sum):
     total = DiffReflOp.zero(ctx)
     for coeff, word in word_sum:
-        total = total + evaluate_word(ctx, word, c_shift) * coeff
+        total = total + evaluate_word(ctx, word) * coeff
     return total
 
 
@@ -479,7 +426,7 @@ def minuscule_level(lam):
     return m
 
 
-def e_lambda(ctx, lam, mode="closed", c_shift=0):
+def e_lambda(ctx, lam, mode="closed"):
     """Spherical shift element for a minuscule dominant coweight.
 
     generators mode composes symmetrizer o X^{omega_m} o symmetrizer from the
@@ -496,15 +443,15 @@ def e_lambda(ctx, lam, mode="closed", c_shift=0):
     if m is None:
         raise ValueError("coweight must be dominant with entries in {0, 1}")
     if mode == "generators":
-        e_op = op_symmetrizer(ctx, c_shift)
+        e_op = op_symmetrizer(ctx)
         out = e_op
         if m:
-            out = out.compose(evaluate_word(ctx, x_omega_word(n, m), c_shift))
+            out = out.compose(evaluate_word(ctx, x_omega_word(n, m)))
             out = out.compose(e_op)
         return out
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'generators'")
-    cc = _c_param(ctx, c_shift)
+    cc = LaurentPoly.c(ctx)
     weight_factor = RationalFunction.one(ctx)
     for r in range(n):
         for s in range(r + 1, n):
@@ -513,8 +460,7 @@ def e_lambda(ctx, lam, mode="closed", c_shift=0):
                 weight_factor = weight_factor * RationalFunction(
                     form.to_poly(ctx) - cc, [form]
                 )
-    out = op_u(ctx, lam).compose(op_symmetrizer(ctx, c_shift))
-    out = DiffReflOp(ctx, {k: weight_factor * v for k, v in out.terms.items()})
+    out = op_u(ctx, lam).compose(op_symmetrizer(ctx)) * weight_factor
     return op_plain_symmetrizer(ctx).compose(out)
 
 
@@ -611,11 +557,11 @@ def phi_shift_check(n, m):
     """
     ctx = VarContext(n)
     lam = fundamental_coweight(n, m)
-    dc_op = op_scalar(ctx, delta_poly(ctx, c_mult=1))
+    dc_op = op_scalar(ctx, delta_poly(ctx))
     sign = -1 if (m * (n - m)) % 2 else 1
     sym_inputs = op_plain_symmetrizer(ctx)
     lhs = phi_image_op(ctx, m).compose(dc_op)
-    rhs = dc_op.compose(e_lambda(ctx, lam, "generators", c_shift=-1)) * sign
+    rhs = dc_op.compose(e_lambda(ctx, lam, "generators").subst_c(c_to_h=-1)) * sign
     diff = (lhs - rhs).compose(sym_inputs)
     ok = diff.is_zero()
     return ok, None if ok else op_to_text(diff)

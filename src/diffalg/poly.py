@@ -52,6 +52,19 @@ def scalar_div(a, b):
     return _as_scalar(Fraction(a, b))
 
 
+def collect(pairs):
+    """Sum the values of (key, value) pairs per key and drop the zero sums.
+
+    Keys keep the order of their first appearance.  Values are anything that
+    adds and tests zero by truthiness: scalars, polynomials, rational
+    functions.
+    """
+    out = {}
+    for key, value in pairs:
+        out[key] = out[key] + value if key in out else value
+    return {key: value for key, value in out.items() if value}
+
+
 class LaurentPoly:
     """Immutable exact polynomial; do not mutate .terms after construction."""
 
@@ -333,9 +346,6 @@ class LinearForm:
         na = self.a + lam[nr] - lam[ns]
         return LinearForm.make(nr, ns, na, self.b)
 
-    def shifted(self, lam):
-        return LinearForm(self.r, self.s, self.a + lam[self.r] - lam[self.s], self.b)
-
     def subst_c(self, c_sign, c_to_h):
         return LinearForm(self.r, self.s, self.a + self.b * c_to_h, self.b * c_sign)
 
@@ -446,6 +456,13 @@ def exact_divide(f, form):
     return LaurentPoly(f.ctx, quotient)
 
 
+def _forms_product(ctx, forms):
+    out = LaurentPoly.one(ctx)
+    for form in forms:
+        out = out * form.to_poly(ctx)
+    return out
+
+
 class RationalFunction:
     """Numerator polynomial over a multiset of linear forms.
 
@@ -488,6 +505,9 @@ class RationalFunction:
     def ctx(self):
         return self.num.ctx
 
+    def __bool__(self):
+        return bool(self.num)
+
     def is_zero(self):
         return not self.num
 
@@ -495,29 +515,24 @@ class RationalFunction:
         return not self.den
 
     def den_poly(self):
-        out = LaurentPoly.one(self.ctx)
-        for form in self.den:
-            out = out * form.to_poly(self.ctx)
-        return out
+        return _forms_product(self.ctx, self.den)
+
+    def _coerce(self, other):
+        """other as a RationalFunction, or None when it is none of the operand types."""
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly.const(self.ctx, other)
+        if isinstance(other, LaurentPoly):
+            other = RationalFunction(other)
+        return other if isinstance(other, RationalFunction) else None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(
-                other if isinstance(other, LaurentPoly) else LaurentPoly.const(self.ctx, other)
-            )
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         mine, theirs = Counter(self.den), Counter(other.den)
         union = mine | theirs
-        scale_self = LaurentPoly.one(self.ctx)
-        for form, mult in (union - mine).items():
-            for _ in range(mult):
-                scale_self = scale_self * form.to_poly(self.ctx)
-        scale_other = LaurentPoly.one(self.ctx)
-        for form, mult in (union - theirs).items():
-            for _ in range(mult):
-                scale_other = scale_other * form.to_poly(self.ctx)
-        num = self.num * scale_self + other.num * scale_other
+        num = self.num * _forms_product(self.ctx, (union - mine).elements())
+        num = num + other.num * _forms_product(self.ctx, (union - theirs).elements())
         return RationalFunction(num, tuple(union.elements()))
 
     __radd__ = __add__
@@ -526,11 +541,8 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(
-                other if isinstance(other, LaurentPoly) else LaurentPoly.const(self.ctx, other)
-            )
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -538,9 +550,7 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.num * other, self.den)
-        if isinstance(other, LaurentPoly):
+        if isinstance(other, (int, Fraction, LaurentPoly)):
             return RationalFunction(self.num * other, self.den)
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -549,13 +559,10 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(
-                other if isinstance(other, LaurentPoly) else LaurentPoly.const(self.ctx, other)
-            )
-        if not isinstance(other, RationalFunction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return (self - other).is_zero()
+        return not self - other
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -571,12 +578,6 @@ class RationalFunction:
             if sign < 0:
                 num = -num
         return RationalFunction(num, den)
-
-    def shifted(self, lam):
-        """Substitute y_i -> y_i + h*lam_i."""
-        return RationalFunction(
-            shift_y(self.num, lam), [form.shifted(lam) for form in self.den]
-        )
 
     def subst_c(self, c_sign=1, c_to_h=0):
         return RationalFunction(

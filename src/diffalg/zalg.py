@@ -28,7 +28,9 @@ classes of the balanced pieces of its coweight.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
+from operator import add
 
 from .poly import (
     LaurentPoly,
@@ -36,10 +38,11 @@ from .poly import (
     RationalFunction,
     VarContext,
     act_perm,
+    collect,
     poly_to_text,
     shift_y,
 )
-from .weyl import RootData, all_perms, perm_on_vector
+from .weyl import RootData, all_perms, identity_perm, perm_on_vector
 from . import daha
 
 
@@ -143,9 +146,7 @@ class AbelianZElt:
             raise TagMismatch(
                 f"cannot add tags ({self.i},{self.j}) and ({other.i},{other.j})"
             )
-        terms = dict(self.terms)
-        for lam, f in other.terms.items():
-            terms[lam] = terms[lam] + f if lam in terms else f
+        terms = collect(chain(self.terms.items(), other.terms.items()))
         return AbelianZElt(self.matter, self.i, self.j, terms)
 
     def __neg__(self):
@@ -225,8 +226,6 @@ def r_generator(matter, i, j, lam, coeff=None):
     """The dressed generator coeff(y) . i_r_j^lam (default dressing 1)."""
     if coeff is None:
         coeff = LaurentPoly.one(matter.ctx)
-    elif isinstance(coeff, (int, Fraction)):
-        coeff = LaurentPoly.const(matter.ctx, coeff)
     return AbelianZElt(matter, i, j, {tuple(lam): coeff})
 
 
@@ -249,7 +248,7 @@ def abelian_product(a, b):
         raise TagMismatch(f"inner tags disagree: {a.j} vs {b.i}")
     matter = a.matter
     count = len(matter.characters)
-    out = {}
+    pairs = []
     for lam, f in a.terms.items():
         for mu, g in b.terms.items():
             coeff = shift_y(f, mu) * g
@@ -261,9 +260,8 @@ def abelian_product(a, b):
                 r = b.j
                 coeff = coeff * matter.interval_factor(ell, max(p, r), max(p, q, r))
                 coeff = coeff * matter.interval_factor(ell, min(p, q, r), min(p, r))
-            key = tuple(x + y for x, y in zip(lam, mu))
-            out[key] = out[key] + coeff if key in out else coeff
-    return AbelianZElt(matter, a.i, b.j, out)
+            pairs.append((tuple(map(add, lam, mu)), coeff))
+    return AbelianZElt(matter, a.i, b.j, collect(pairs))
 
 
 def abelian_embed(a):
@@ -283,9 +281,8 @@ def abelian_embed(a):
         for ell in range(len(matter.characters)):
             big_l = matter.weight(ell, lam)
             coeff = coeff * matter.interval_factor(ell, big_l + a.i, a.j)
-        if coeff:
-            out[lam] = out[lam] + coeff if lam in out else coeff
-    return {lam: f for lam, f in out.items() if f}
+        out[lam] = coeff
+    return collect(out.items())
 
 
 def embed_compose(first, second):
@@ -295,13 +292,11 @@ def embed_compose(first, second):
     the result is (second o first), i.e. out[lam + mu] collects
     second_mu(y) * first_lam(y + h mu).
     """
-    out = {}
-    for lam, f in first.items():
-        for mu, g in second.items():
-            coeff = g * shift_y(f, mu)
-            key = tuple(x + y for x, y in zip(lam, mu))
-            out[key] = out[key] + coeff if key in out else coeff
-    return {lam: f for lam, f in out.items() if f}
+    return collect(
+        (tuple(map(add, lam, mu)), g * shift_y(f, mu))
+        for lam, f in first.items()
+        for mu, g in second.items()
+    )
 
 
 # -- nonabelian side -------------------------------------------------------
@@ -324,7 +319,7 @@ class SphericalClass:
             lam = tuple(lam)
             if len(lam) != ctx.n:
                 raise ValueError("coweight length must match the variable count")
-            if not coeff.is_zero():
+            if coeff:
                 clean[lam] = coeff
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "i", i)
@@ -345,9 +340,7 @@ class SphericalClass:
             raise TagMismatch(
                 f"cannot add tags ({self.i},{self.j}) and ({other.i},{other.j})"
             )
-        terms = dict(self.terms)
-        for lam, coeff in other.terms.items():
-            terms[lam] = terms[lam] + coeff if lam in terms else coeff
+        terms = collect(chain(self.terms.items(), other.terms.items()))
         return SphericalClass(
             self.ctx, self.i, self.j, terms, self.exact and other.exact
         )
@@ -397,12 +390,12 @@ def spherical_compose(a, b):
         raise ValueError("mismatched variable contexts")
     if a.j != b.i:
         raise TagMismatch(f"inner tags disagree: {a.j} vs {b.i}")
-    terms = {}
-    for lam, f in a.terms.items():
-        for mu, g in b.terms.items():
-            coeff = f * g.shifted(lam)
-            key = tuple(x + y for x, y in zip(lam, mu))
-            terms[key] = terms[key] + coeff if key in terms else coeff
+    identity = identity_perm(a.ctx.n)
+    terms = collect(
+        (tuple(map(add, lam, mu)), f * g.act((identity, lam)))
+        for lam, f in a.terms.items()
+        for mu, g in b.terms.items()
+    )
     return SphericalClass(a.ctx, a.i, b.j, terms, a.exact and b.exact)
 
 
@@ -490,7 +483,7 @@ def class_commutative(lam, f, d, roots, normalization="reduced"):
         value = abs(roots.root_value(root, lam))
         if value < d:
             base = base * roots.root_form(ctx, root) ** (d - value)
-    out = {}
+    pairs = []
     for m in roots.elements:
         g = roots.act_matrix(m, base)
         if d % 2 and roots.det(m) < 0:
@@ -498,9 +491,9 @@ def class_commutative(lam, f, d, roots, normalization="reduced"):
         key = tuple(
             sum(row[t] * lam[t] for t in range(roots.rank)) for row in m
         )
-        out[key] = out[key] + g if key in out else g
+        pairs.append((key, g))
     scale = Fraction(1, roots.order())
-    out = {key: g * scale for key, g in out.items() if g}
+    out = {key: g * scale for key, g in collect(pairs).items()}
     if normalization == "raw":
         bulk = roots.vandermonde(ctx) ** d
         out = {key: g * bulk for key, g in out.items()}
@@ -509,21 +502,21 @@ def class_commutative(lam, f, d, roots, normalization="reduced"):
 
 def class_to_poly(ctx, cls):
     """Flatten a class mapping (coweight -> coefficient) to sum coeff * x^lam."""
-    poly = LaurentPoly.zero(ctx)
-    for lam, coeff in cls.items():
-        poly = poly + coeff * LaurentPoly.monomial(ctx, xe=tuple(lam))
-    return poly
+    return LaurentPoly(
+        ctx,
+        collect(
+            ((tuple(map(add, xe, lam)), ye, ce, he), value)
+            for lam, coeff in cls.items()
+            for (xe, ye, ce, he), value in coeff.terms.items()
+        ),
+    )
 
 
 def commutative_compose(a, b):
     """Product of commutative-limit classes: plain convolution of terms."""
-    out = {}
-    for lam, f in a.items():
-        for mu, g in b.items():
-            key = tuple(x + y for x, y in zip(lam, mu))
-            coeff = f * g
-            out[key] = out[key] + coeff if key in out else coeff
-    return {key: f for key, f in out.items() if f}
+    return collect(
+        (tuple(map(add, lam, mu)), f * g) for lam, f in a.items() for mu, g in b.items()
+    )
 
 
 def commutative_limit(coeff):

@@ -218,6 +218,14 @@ def test_eval_subcommand_prints_an_operator(capsys):
     assert main(["eval", "--expr", "pi (c + h)", "--rank", "3"]) == 0
 
 
+def test_eval_cshift_substitutes_into_the_result(capsys):
+    assert main(["eval", "--expr", "s1", "--rank", "2", "--cshift", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "((-c - h) / (y1 - y2)) * u^[0,0] * [1,2]"
+        " + ((y1 - y2 + c + h) / (y1 - y2)) * u^[0,0] * [2,1]\n"
+    )
+
+
 def test_crash_witness_names_where_it_was_raised(monkeypatch):
     def crash():
         raise ZeroDivisionError("boom")

@@ -1,5 +1,6 @@
 """Difference-reflection operator algebra: relations, words, shift identity."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from diffalg.poly import (
     shift_y,
 )
 from diffalg.weyl import RootData, identity_perm
+from diffalg.zalg import commutative_limit
 
 CTX2 = VarContext(2)
 CTX3 = VarContext(3)
@@ -57,9 +59,9 @@ def test_defining_relations_hold_rank_three():
 def test_corrupted_generator_breaks_cross_relations_only(monkeypatch):
     real = daha.op_sigma
 
-    def flipped(ctx, i, c_shift=0):
+    def flipped(ctx, i):
         # the sign of the identity coefficient -c / (y_i - y_{i+1}) flipped
-        op = real(ctx, i, c_shift)
+        op = real(ctx, i)
         key = (identity_perm(ctx.n), (0,) * ctx.n)
         return DiffReflOp(ctx, {**op.terms, key: -op.terms[key]})
 
@@ -133,9 +135,10 @@ def test_pi_translates_last_variable():
 
 
 def test_delta_poly_matches_root_system_alternant():
-    roots = RootData.type_a(3)
-    assert delta_poly(CTX3) == roots.vandermonde(CTX3)
-    deformed = delta_poly(CTX2, c_mult=1)
+    # at c = 0 the deformed product is the Vandermonde of the root system
+    limit = commutative_limit(RationalFunction(delta_poly(CTX3)))
+    assert limit.num == RootData.type_a(3).vandermonde(CTX3)
+    deformed = delta_poly(CTX2)
     assert deformed == (
         LaurentPoly.y(CTX2, 0) - LaurentPoly.y(CTX2, 1) + LaurentPoly.c(CTX2)
     )
@@ -167,6 +170,36 @@ def test_spherical_collapse_reproduces_symmetric_action():
         total = total + coeff * shift_y(f, lam)
     assert total.is_polynomial()
     assert total.num == op.apply(f)
+
+
+@pytest.mark.parametrize(
+    "ctx, left, right",
+    [
+        (CTX2, "pi s1 (c + y1)", "pi s1 (c^2 - h) y2"),
+        (CTX3, "s1 pi s2 (c*y2 + h)", "pi^-1 s2 (c) y3 s1"),
+    ],
+)
+def test_parameter_shift_is_an_algebra_automorphism(ctx, left, right):
+    a = evaluate_word(ctx, parse_word(left, ctx))
+    b = evaluate_word(ctx, parse_word(right, ctx))
+    for m in range(-2, 3):
+        assert a.compose(b).subst_c(m) == a.subst_c(m).compose(b.subst_c(m)), f"m={m}"
+
+
+# sha256 of op_to_text of the rank-3 shift element built with c replaced by
+# c - h in every generator from the start.
+SHIFTED_TEXT_SHA256 = {
+    (1, 0, 0): "080352d49758b4bf16aa7b3096121b84bdb7a2dfd67a2e86b451836edb553968",
+    (1, 1, 0): "70039567892518c7e6b27e645fe1daf4f95b1dd7c241819a28c9ca4fadeeba50",
+}
+
+
+@pytest.mark.parametrize("mode", ["closed", "generators"])
+@pytest.mark.parametrize("lam", sorted(SHIFTED_TEXT_SHA256))
+def test_shifted_shift_element_text_is_pinned(lam, mode):
+    op = e_lambda(CTX3, lam, mode).subst_c(c_to_h=-1)
+    digest = hashlib.sha256(op_to_text(op).encode()).hexdigest()
+    assert digest == SHIFTED_TEXT_SHA256[lam]
 
 
 def test_parameter_shift_identity_rank_two():

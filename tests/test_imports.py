@@ -1,6 +1,8 @@
-"""Source hygiene: every module under src/diffalg uses each name it imports."""
+"""Source hygiene: every module under src/diffalg uses each name it imports,
+and imports nothing outside the standard library and the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,28 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _foreign_imports(source):
+    """(line, module) of each import that is neither stdlib nor diffalg."""
+    allowed = sys.stdlib_module_names | {"diffalg"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue  # relative imports stay inside the package
+        found += [(node.lineno, name) for name in names if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_dependency_checker_flags_third_party_modules():
+    source = "import os, sympy.core\nfrom . import poly\nfrom hypothesis import given\nfrom diffalg.poly import collect\nimport bench.spans\n"
+    assert _foreign_imports(source) == [(1, "sympy.core"), (3, "hypothesis"), (5, "bench.spans")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_runtime_dependencies(path):
+    assert _foreign_imports(path.read_text()) == []

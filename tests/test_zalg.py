@@ -20,6 +20,7 @@ from diffalg.zalg import (
     abelian_embed,
     class_commutative,
     class_localized,
+    class_to_poly,
     commutative_compose,
     commutative_limit,
     embed_compose,
@@ -162,6 +163,23 @@ def test_commutative_class_pinned_values():
         (0, 1): "-1/2",
         (1, 0): "1/2",
     }
+
+
+def test_class_to_poly_sums_coefficients_times_x_powers():
+    ctx = VarContext(3)
+    roots = RootData.type_a(3)
+    dressing = LaurentPoly.x(ctx, 0) * LaurentPoly.y(ctx, 1) + LaurentPoly.x(ctx, 2, -1)
+
+    def x(*xe):
+        return LaurentPoly.monomial(ctx, xe=xe)
+
+    cancelling = {(1, 0, 0): x(0, 1, 0), (0, 1, 0): x(1, 0, 0) * -1, (0, 0, 1): x(0, 0, 0)}
+    for cls in (class_commutative((2, 1, 0), dressing, 2, roots, "raw"), cancelling):
+        expected = LaurentPoly.zero(ctx)
+        for lam, coeff in cls.items():
+            expected = expected + coeff * x(*lam)
+        assert class_to_poly(ctx, cls) == expected
+    assert class_to_poly(ctx, cancelling) == x(0, 0, 1)
 
 
 def test_commutative_limit_matches_localized_leading_term():
