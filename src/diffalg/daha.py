@@ -30,8 +30,8 @@ therefore built at c and substituted once, at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import factorial
+from itertools import chain, combinations
+from math import factorial, prod
 from operator import add
 
 from .poly import (
@@ -42,6 +42,7 @@ from .poly import (
     VarContext,
     act,
     collect,
+    linear_poly,
     parse_poly,
     poly_to_text,
     subst_params,
@@ -203,12 +204,10 @@ def op_sigma(ctx, i):
     n = ctx.n
     if not 0 <= i < n - 1:
         raise ValueError("reflection index out of range")
-    cc = LaurentPoly.c(ctx)
     form = LinearForm(i, i + 1)
-    g = form.to_poly(ctx)
     zero = (0,) * n
-    swap_coeff = RationalFunction(g + cc, [form])
-    id_coeff = RationalFunction(-cc, [form])
+    swap_coeff = RationalFunction(LinearForm(i, i + 1, 0, 1).to_poly(ctx), [form])
+    id_coeff = RationalFunction(-LaurentPoly.c(ctx), [form])
     return DiffReflOp(
         ctx,
         {
@@ -251,11 +250,10 @@ def delta_poly(ctx):
     It generates the image of the sign idempotent inside the polynomial
     representation.
     """
-    out = LaurentPoly.one(ctx)
-    for r in range(ctx.n):
-        for s in range(r + 1, ctx.n):
-            out = out * LinearForm(r, s, 0, 1).to_poly(ctx)
-    return out
+    return prod(
+        (LinearForm(r, s, 0, 1).to_poly(ctx) for r, s in combinations(range(ctx.n), 2)),
+        start=LaurentPoly.one(ctx),
+    )
 
 
 # -- generator words --------------------------------------------------------
@@ -451,15 +449,12 @@ def e_lambda(ctx, lam, mode="closed"):
         return out
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'generators'")
-    cc = LaurentPoly.c(ctx)
     weight_factor = RationalFunction.one(ctx)
-    for r in range(n):
-        for s in range(r + 1, n):
-            if lam[r] - lam[s] == 1:
-                form = LinearForm(r, s)
-                weight_factor = weight_factor * RationalFunction(
-                    form.to_poly(ctx) - cc, [form]
-                )
+    for r, s in combinations(range(n), 2):
+        if lam[r] - lam[s] == 1:
+            weight_factor = weight_factor * RationalFunction(
+                LinearForm(r, s, 0, -1).to_poly(ctx), [LinearForm(r, s)]
+            )
     out = op_u(ctx, lam).compose(op_symmetrizer(ctx)) * weight_factor
     return op_plain_symmetrizer(ctx).compose(out)
 
@@ -504,7 +499,6 @@ def verify_relations(n):
             lhs = sigmas[i].compose(ys[k]) - ys[s_i[k]].compose(sigmas[i])
             rhs = c_op * delta if delta else DiffReflOp.zero(ctx)
             record(f"s{i+1} y{k+1} cross relation", lhs, rhs)
-    h_poly = LaurentPoly.h(ctx)
     for k in range(n):
         if k < n - 1:
             record(
@@ -513,7 +507,7 @@ def verify_relations(n):
                 ys[k + 1].compose(pi),
             )
         else:
-            shifted = op_scalar(ctx, LaurentPoly.y(ctx, 0) + h_poly)
+            shifted = op_scalar(ctx, linear_poly(ctx, (1,) + (0,) * (n - 1), h=1))
             record(
                 f"pi y{n} = (y1 + h) pi",
                 pi.compose(ys[k]),

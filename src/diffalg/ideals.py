@@ -27,14 +27,13 @@ from .poly import (
     LaurentPoly,
     LinearForm,
     VarContext,
-    act_perm,
     exact_divide,
     perm_sign,
     poly_to_text,
     scalar_div,
     taylor_pair,
 )
-from .weyl import RootData, all_perms
+from .weyl import RootData
 from .zalg import class_commutative, class_to_poly
 
 
@@ -214,18 +213,12 @@ def delta_S_schur(S):
         mu = tuple(avals[t] - (m - 1 - t) for t in range(m))
         core = core * schur_poly(ctx, block, mu)
         for r, s in itertools.combinations(block, 2):
-            core = core * (LaurentPoly.y(ctx, r) - LaurentPoly.y(ctx, s))
+            core = core * LinearForm(r, s).to_poly(ctx)
         for t in block:
             xe[t] = b
         next_var += m
     core = core * LaurentPoly.monomial(ctx, xe=tuple(xe))
-    alt = LaurentPoly.zero(ctx)
-    for w in all_perms(n):
-        piece = act_perm(w, core)
-        if perm_sign(w) < 0:
-            piece = -piece
-        alt = alt + piece
-    alt = alt * Fraction(1, factorial(n))
+    alt = RootData.type_a(n).project(core, 1)
     direct = delta_S_direct(S)
     if not alt or not direct:
         raise ArithmeticError("determinant vanished; S is not a valid subset")
@@ -241,16 +234,24 @@ def delta_S_schur(S):
 # -- symbolic powers ---------------------------------------------------------
 
 
+def _integer(value, name):
+    """value as a plain int; ValueError when it is not an integer."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class IdealSpec:
     """The d-th symbolic power of the diagonal ideal for a root datum."""
 
     __slots__ = ("roots", "d")
 
     def __init__(self, roots, d):
+        d = _integer(d, "the symbolic power")
         if d < 0:
             raise ValueError("the symbolic power must be nonnegative")
         object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealSpec is immutable")
@@ -317,13 +318,12 @@ class Window:
     __slots__ = ("x_min", "x_max", "y_max")
 
     def __init__(self, x_min, x_max, y_max):
-        if x_max < x_min:
+        for name, value in (("x_min", x_min), ("x_max", x_max), ("y_max", y_max)):
+            object.__setattr__(self, name, _integer(value, name))
+        if self.x_max < self.x_min:
             raise ValueError("empty x-exponent box")
-        if y_max < 0:
+        if self.y_max < 0:
             raise ValueError("negative y-degree bound")
-        object.__setattr__(self, "x_min", int(x_min))
-        object.__setattr__(self, "x_max", int(x_max))
-        object.__setattr__(self, "y_max", int(y_max))
 
     def __setattr__(self, name, value):
         raise AttributeError("Window is immutable")

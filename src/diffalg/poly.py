@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import add
 
 
@@ -103,21 +103,17 @@ class LaurentPoly:
         ye = tuple(ye) if ye is not None else (0,) * ctx.n
         if len(xe) != ctx.n or len(ye) != ctx.n:
             raise ValueError("exponent vector length mismatch")
-        if any(e < 0 for e in ye):
-            raise ValueError("y exponents must be nonnegative")
+        if any(e < 0 for e in ye) or ce < 0 or he < 0:
+            raise ValueError("y, c and h exponents must be nonnegative")
         return cls(ctx, {(xe, ye, ce, he): coeff})
 
     @classmethod
     def x(cls, ctx, i, power=1):
-        xe = [0] * ctx.n
-        xe[i] = power
-        return cls.monomial(ctx, xe=xe)
+        return cls.monomial(ctx, xe=_unit_exponents(ctx, i, power))
 
     @classmethod
     def y(cls, ctx, i, power=1):
-        ye = [0] * ctx.n
-        ye[i] = power
-        return cls.monomial(ctx, ye=ye)
+        return cls.monomial(ctx, ye=_unit_exponents(ctx, i, power))
 
     @classmethod
     def c(cls, ctx):
@@ -222,6 +218,29 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({poly_to_text(self)})"
+
+
+def _unit_exponents(ctx, i, power):
+    """The exponent vector with power at index i; raises on i outside 0..n-1."""
+    if not 0 <= i < ctx.n:
+        raise ValueError(f"variable index {i} out of range 0..{ctx.n - 1}")
+    exps = [0] * ctx.n
+    exps[i] = power
+    return exps
+
+
+def linear_poly(ctx, ys, h=0, c=0):
+    """The linear polynomial sum_i ys[i]*y_i + h*h + c*c."""
+    if len(ys) != ctx.n:
+        raise ValueError("coefficient vector length mismatch")
+    zero = (0,) * ctx.n
+    terms = {
+        (zero, zero[:i] + (1,) + zero[i + 1 :], 0, 0): coeff
+        for i, coeff in enumerate(ys)
+    }
+    terms[(zero, zero, 0, 1)] = h
+    terms[(zero, zero, 1, 0)] = c
+    return LaurentPoly(ctx, terms)
 
 
 # -- substitutions and group actions -----------------------------------
@@ -333,12 +352,9 @@ class LinearForm:
         return LinearForm(s, r, -a, -b), -1
 
     def to_poly(self, ctx):
-        f = LaurentPoly.y(ctx, self.r) - LaurentPoly.y(ctx, self.s)
-        if self.a:
-            f = f + LaurentPoly.h(ctx) * self.a
-        if self.b:
-            f = f + LaurentPoly.c(ctx) * self.b
-        return f
+        ys = [0] * ctx.n
+        ys[self.r], ys[self.s] = 1, -1
+        return linear_poly(ctx, ys, self.a, self.b)
 
     def transform(self, w, lam):
         """Image under act((w, lam), .) together with the normalising sign."""
@@ -457,10 +473,7 @@ def exact_divide(f, form):
 
 
 def _forms_product(ctx, forms):
-    out = LaurentPoly.one(ctx)
-    for form in forms:
-        out = out * form.to_poly(ctx)
-    return out
+    return prod((form.to_poly(ctx) for form in forms), start=LaurentPoly.one(ctx))
 
 
 class RationalFunction:

@@ -18,7 +18,7 @@ later one loses the glued hyperplane).
 """
 
 from .ideals import IdealSpec, graded_dimension, membership
-from .poly import LaurentPoly, LinearForm, RationalFunction
+from .poly import LaurentPoly, LinearForm, RationalFunction, poly_to_text
 
 
 class NotInIdeal(ValueError):
@@ -123,37 +123,21 @@ class ModuleElt:
 
         Returned as a rational expression (denominator held in factored
         linear forms); this is a read-only view, the module arithmetic
-        always works with the polynomial value.
+        always works with the polynomial value.  The roots must be
+        differences y_r - y_s, as in type A; B2 and G2 raise ValueError.
         """
-        den = []
-        for root in self.module.roots.positive_roots:
-            den.extend([_root_linear_form(self.module.roots, root)] * self.grade)
-        return RationalFunction(self.value, tuple(den))
+        roots = self.module.roots.positive_roots
+        try:
+            forms = [LinearForm(root.index(1), root.index(-1)) for root in roots]
+        except ValueError:
+            raise ValueError("untwisted view needs difference-form roots") from None
+        return RationalFunction(self.value, forms * self.grade)
 
     def text(self):
-        from .poly import poly_to_text
-
         return f"[grade {self.grade}] {poly_to_text(self.value)}"
 
     def __repr__(self):
         return f"ModuleElt(grade={self.grade}, value={self.value!r})"
-
-
-def _root_linear_form(roots, root):
-    """The linear form y_alpha as a LinearForm when it is a difference y_r - y_s.
-
-    Type A roots are differences, which is all the rational-expression view
-    needs; other data fall back on a ValueError since their forms are not
-    plain differences.
-    """
-    coeffs = list(root)
-    pos = [t for t, a in enumerate(coeffs) if a == 1]
-    neg = [t for t, a in enumerate(coeffs) if a == -1]
-    rest = [a for a in coeffs if a not in (-1, 0, 1)]
-    if len(pos) == 1 and len(neg) == 1 and not rest:
-        form, _sign = LinearForm.make(pos[0], neg[0], 0, 0)
-        return form
-    raise ValueError("untwisted view needs difference-form roots")
 
 
 def module_act(a, m, d):

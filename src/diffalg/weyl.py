@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
+from math import prod
 
-from .poly import LaurentPoly
+from .poly import LaurentPoly, linear_poly
 
 
 def identity_perm(n):
@@ -177,7 +178,7 @@ class RootData:
     def act_matrix(self, m, f):
         """Group element as substitution: y_j -> sum_i m[i][j] y_i, x^e -> x^(m e)."""
         ctx = f.ctx
-        columns = [self.root_form(ctx, [row[j] for row in m]) for j in range(self.rank)]
+        columns = [linear_poly(ctx, [row[j] for row in m]) for j in range(self.rank)]
         powers = {}
         out = {}
         for (xe, ye, ce, he), coeff in f.terms.items():
@@ -196,20 +197,14 @@ class RootData:
     def stabilizer_size(self, lam):
         return sum(1 for m in self.elements if _mat_vec(m, lam) == tuple(lam))
 
-    def root_form(self, ctx, root):
-        return sum(
-            (LaurentPoly.y(ctx, i) * coeff for i, coeff in enumerate(root) if coeff),
-            LaurentPoly.zero(ctx),
-        )
-
     def root_value(self, root, lam):
         return sum(a * b for a, b in zip(root, lam))
 
     def vandermonde(self, ctx):
-        out = LaurentPoly.one(ctx)
-        for root in self.positive_roots:
-            out = out * self.root_form(ctx, root)
-        return out
+        return prod(
+            (linear_poly(ctx, root) for root in self.positive_roots),
+            start=LaurentPoly.one(ctx),
+        )
 
     def project(self, f, d):
         """Average of sign^d-twisted translates over the whole group."""

@@ -28,8 +28,8 @@ classes of the balanced pieces of its coweight.
 """
 
 from fractions import Fraction
-from itertools import chain
-from math import factorial
+from itertools import chain, permutations
+from math import factorial, prod
 from operator import add
 
 from .poly import (
@@ -39,8 +39,10 @@ from .poly import (
     VarContext,
     act_perm,
     collect,
+    linear_poly,
     poly_to_text,
     shift_y,
+    subst_params,
 )
 from .weyl import RootData, all_perms, identity_perm, perm_on_vector
 from . import daha
@@ -95,22 +97,13 @@ class AbelianMatter:
         ch = self.characters[ell]
         return sum(ch[t] * lam[t] for t in range(self.rank))
 
-    def xi(self, ell):
-        """The ell-th character as a linear polynomial in the coordinates."""
-        out = LaurentPoly.zero(self.ctx)
-        for t, coeff in enumerate(self.characters[ell]):
-            if coeff:
-                out = out + LaurentPoly.y(self.ctx, t) * coeff
-        return out
-
     def interval_factor(self, ell, lo, hi):
         """prod_{t = lo+1 .. hi} (xi_ell + c + t h), the empty product if hi <= lo."""
-        out = LaurentPoly.one(self.ctx)
-        base = self.xi(ell) + LaurentPoly.c(self.ctx)
-        step = LaurentPoly.h(self.ctx)
-        for t in range(lo + 1, hi + 1):
-            out = out * (base + step * t)
-        return out
+        ch = self.characters[ell]
+        return prod(
+            (linear_poly(self.ctx, ch, h=t, c=1) for t in range(lo + 1, hi + 1)),
+            start=LaurentPoly.one(self.ctx),
+        )
 
 
 class AbelianZElt:
@@ -434,24 +427,16 @@ def class_localized(lam, f, i, j):
     for lam2, w in reps.items():
         num = act_perm(w, f)
         den = []
-        for r in range(n):
-            for s in range(n):
-                if r == s:
-                    continue
-                gap = lam2[r] - lam2[s] + i
-                for l in range(j - gap):
-                    factor = (
-                        LaurentPoly.y(ctx, r)
-                        - LaurentPoly.y(ctx, s)
-                        + LaurentPoly.h(ctx) * (gap + l)
-                        + LaurentPoly.c(ctx)
-                    )
-                    num = num * factor
-                for l in range(lam2[r] - lam2[s]):
-                    form, sign = LinearForm.make(s, r, l, 0)
-                    den.append(form)
-                    if sign < 0:
-                        num = -num
+        for r, s in permutations(range(n), 2):
+            gap = lam2[r] - lam2[s] + i
+            for l in range(j - gap):
+                form, sign = LinearForm.make(r, s, gap + l, 1)
+                num = num * (form.to_poly(ctx) * sign)
+            for l in range(lam2[r] - lam2[s]):
+                form, sign = LinearForm.make(s, r, l, 0)
+                den.append(form)
+                if sign < 0:
+                    num = -num
         terms[lam2] = RationalFunction(num, den)
     minuscule = max(lam) - min(lam) <= 1
     return SphericalClass(ctx, i, j, terms, exact=minuscule)
@@ -482,7 +467,7 @@ def class_commutative(lam, f, d, roots, normalization="reduced"):
     for root in roots.positive_roots:
         value = abs(roots.root_value(root, lam))
         if value < d:
-            base = base * roots.root_form(ctx, root) ** (d - value)
+            base = base * linear_poly(ctx, root) ** (d - value)
     pairs = []
     for m in roots.elements:
         g = roots.act_matrix(m, base)
@@ -525,16 +510,10 @@ def commutative_limit(coeff):
     Every denominator form degenerates to a plain root form y_r - y_s, which
     never vanishes identically, so the limit always exists.
     """
-    num = LaurentPoly(
-        coeff.num.ctx,
-        {
-            (xe, ye, 0, 0): value
-            for (xe, ye, ce, he), value in coeff.num.terms.items()
-            if ce == 0 and he == 0
-        },
+    return RationalFunction(
+        subst_params(coeff.num, c_sign=0, h_sign=0),
+        [LinearForm(form.r, form.s) for form in coeff.den],
     )
-    den = [LinearForm(form.r, form.s, 0, 0) for form in coeff.den]
-    return RationalFunction(num, den)
 
 
 # -- coweight splitting and factorization ----------------------------------

@@ -62,6 +62,18 @@ def test_ideal_spec_validation():
     assert spec.d == 2
 
 
+def test_non_integer_bounds_are_rejected():
+    for bad in (1.5, 2.0, Fraction(3, 2), "1"):
+        with pytest.raises(ValueError):
+            IdealSpec(ROOTS2, bad)
+        with pytest.raises(ValueError):
+            Window(0, bad, 1)
+        with pytest.raises(ValueError):
+            Window(bad, 3, 1)
+        with pytest.raises(ValueError):
+            Window(0, 1, bad)
+
+
 def test_vandermonde_membership_orders():
     van = ROOTS2.vandermonde(CTX2)
     ok, witness = membership(van, IdealSpec(ROOTS2, 1))
@@ -117,6 +129,30 @@ def test_graded_dimensions_on_the_narrow_window():
     signed = graded_dimension(IdealSpec(ROOTS2, 1), 1, NARROW)
     assert signed.dimension == 5
     assert [poly_to_text(b) for b in signed.basis] == NARROW_SIGN_BASIS
+
+
+@pytest.mark.parametrize(
+    "roots, k, dimension",
+    [
+        # invariants of degree <= k: monomials in the basic invariants,
+        # whose degrees are 2, 4 for B2 and 2, 6 for G2
+        (RootData.b2(), 4, 4),
+        (RootData.b2(), 6, 6),
+        (RootData.g2(), 4, 3),
+        (RootData.g2(), 6, 5),
+    ],
+)
+def test_invariant_dimensions_follow_the_basic_degrees(roots, k, dimension):
+    window = Window(0, 0, k)
+    assert graded_dimension(IdealSpec(roots, 0), 0, window).dimension == dimension
+
+
+@pytest.mark.parametrize("roots", [RootData.type_a(2), RootData.b2(), RootData.g2()])
+def test_vandermonde_is_alternating(roots):
+    ctx = VarContext(roots.rank)
+    van = roots.vandermonde(ctx)
+    assert roots.project(van, 1) == van
+    assert not roots.project(van, 0)
 
 
 def test_graded_dimension_wider_y_window():

@@ -77,6 +77,43 @@ def test_monomial_validation():
         LaurentPoly.monomial(CTX2, xe=(1, 0, 0))
 
 
+def test_monomial_rejects_negative_parameter_exponents():
+    # c^-1*h^-2 would print as text that parse_poly refuses
+    for ce, he in ((-1, -2), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            LaurentPoly.monomial(CTX2, ce=ce, he=he)
+    f = LaurentPoly.monomial(CTX2, xe=(-1, 0), ce=1, he=2)
+    assert parse_poly(poly_to_text(f), CTX2) == f
+
+
+def test_generators_reject_out_of_range_index():
+    for i in (-1, 2):
+        with pytest.raises(ValueError):
+            LaurentPoly.x(CTX2, i)
+        with pytest.raises(ValueError):
+            LaurentPoly.y(CTX2, i)
+    assert poly_to_text(LaurentPoly.x(CTX2, 1, -2)) == "x2^-2"
+
+
+def test_linear_poly_is_the_sum_of_its_monomials():
+    c = LaurentPoly.c(CTX3)
+    h = LaurentPoly.h(CTX3)
+    ys = [LaurentPoly.y(CTX3, i) for i in range(3)]
+    cases = [
+        ((2, 0, -3), 0, 0),
+        ((0, 0, 0), -1, 1),
+        ((1, -1, 0), 4, -2),
+        ((0, Fraction(1, 2), 0), Fraction(-3, 4), 0),
+        ((0, 0, 0), 0, 0),
+    ]
+    for coeffs, a, b in cases:
+        want = sum((y_i * k for y_i, k in zip(ys, coeffs)), h * a + c * b)
+        assert poly.linear_poly(CTX3, coeffs, h=a, c=b) == want
+    assert not poly.linear_poly(CTX3, (0, 0, 0))
+    with pytest.raises(ValueError):
+        poly.linear_poly(CTX3, (1, -1))
+
+
 def test_zero_test_is_truthiness():
     f = x(0) - x(0)
     assert not f

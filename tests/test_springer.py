@@ -121,6 +121,9 @@ def test_untwisted_views_divide_out_the_alternant():
     assert repr(flat.untwisted()) == "RatFn(y1 - y2)"
     lifted = module_act(halved_difference(), EquivaluedModule(ROOTS2, 0).element(0, LaurentPoly.one(CTX2)), 1)
     assert repr(lifted.untwisted()) == "RatFn((1/2*x1 - 1/2*x2) / (y1 - y2))"
+    non_difference = EquivaluedModule(RootData.b2(), 0).element(0, LaurentPoly.zero(CTX2))
+    with pytest.raises(ValueError, match="difference-form roots"):
+        non_difference.untwisted()
 
 
 def test_module_slices_match_ideal_slices():
