@@ -127,7 +127,7 @@ class DiffReflOp:
     def __eq__(self, other):
         if not isinstance(other, DiffReflOp):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.ctx == other.ctx and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ctx, frozenset(self.terms)))

@@ -28,8 +28,10 @@ from .poly import (
     LinearForm,
     VarContext,
     exact_divide,
+    monomial_key,
     perm_sign,
     poly_to_text,
+    require_int,
     scalar_div,
     taylor_pair,
 )
@@ -119,7 +121,7 @@ class PlaneSubset:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = tuple((int(a), int(b)) for a, b in points)
+        pts = tuple((require_int(a, "a point"), require_int(b, "a point")) for a, b in points)
         if len(set(pts)) != len(pts):
             raise ValueError("plane points must be pairwise distinct")
         if any(a < 0 for a, _ in pts):
@@ -234,20 +236,13 @@ def delta_S_schur(S):
 # -- symbolic powers ---------------------------------------------------------
 
 
-def _integer(value, name):
-    """value as a plain int; ValueError when it is not an integer."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 class IdealSpec:
     """The d-th symbolic power of the diagonal ideal for a root datum."""
 
     __slots__ = ("roots", "d")
 
     def __init__(self, roots, d):
-        d = _integer(d, "the symbolic power")
+        d = require_int(d, "the symbolic power")
         if d < 0:
             raise ValueError("the symbolic power must be nonnegative")
         object.__setattr__(self, "roots", roots)
@@ -319,7 +314,7 @@ class Window:
 
     def __init__(self, x_min, x_max, y_max):
         for name, value in (("x_min", x_min), ("x_max", x_max), ("y_max", y_max)):
-            object.__setattr__(self, name, _integer(value, name))
+            object.__setattr__(self, name, require_int(value, name))
         if self.x_max < self.x_min:
             raise ValueError("empty x-exponent box")
         if self.y_max < 0:
@@ -329,62 +324,28 @@ class Window:
         raise AttributeError("Window is immutable")
 
     def monomial_keys(self, n):
-        """All (x-exponents, y-exponents) keys in the window, sorted."""
+        """Term keys of the window monomials, sorted on (x-exponents, y-exponents)."""
         xs = itertools.product(range(self.x_min, self.x_max + 1), repeat=n)
         ys = y_exponents(n, self.y_max)
-        return sorted((xe, ye) for xe in xs for ye in ys)
-
-    def contains(self, f):
-        for xe, ye, ce, he in f.terms:
-            if ce or he:
-                return False
-            if any(e < self.x_min or e > self.x_max for e in xe):
-                return False
-            if sum(ye) > self.y_max:
-                return False
-        return True
-
-    def as_dict(self):
-        return {"x_min": self.x_min, "x_max": self.x_max, "y_max": self.y_max}
+        # both products run in lexicographic order, so the keys come out sorted
+        return [monomial_key(xe, ye) for xe in xs for ye in ys]
 
     def __repr__(self):
         return f"Window(x in [{self.x_min},{self.x_max}], y-deg <= {self.y_max})"
 
 
 class GradedSlice:
-    """An exact basis of a windowed slice, with its monomial coordinates."""
+    """An exact basis of a windowed slice; columns are the window's term keys."""
 
-    __slots__ = ("window", "columns", "basis", "dimension")
+    __slots__ = ("columns", "basis", "dimension")
 
-    def __init__(self, window, columns, basis):
-        object.__setattr__(self, "window", window)
+    def __init__(self, columns, basis):
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "dimension", len(basis))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedSlice is immutable")
-
-    def export(self):
-        """Matrix layout: row per basis element, column per window monomial."""
-        ctx = self.basis[0].ctx if self.basis else None
-        rows = []
-        for f in self.basis:
-            row = []
-            for xe, ye in self.columns:
-                row.append(str(f.terms.get((xe, ye, 0, 0), 0)))
-            rows.append(row)
-        labels = []
-        for xe, ye in self.columns:
-            if ctx is None:
-                ctx = VarContext(len(xe))
-            labels.append(poly_to_text(LaurentPoly.monomial(ctx, xe=xe, ye=ye)))
-        return {
-            "window": self.window.as_dict(),
-            "columns": labels,
-            "rows": rows,
-            "dimension": self.dimension,
-        }
 
 
 def graded_dimension(spec, d_isotypic, window):
@@ -408,21 +369,16 @@ def graded_dimension(spec, d_isotypic, window):
         raise WindowTooLarge(f"window has {size} monomials (cap {WINDOW_CAP})")
     keys = window.monomial_keys(n)
     index = {key: t for t, key in enumerate(keys)}
+    monomials = [LaurentPoly(ctx, {key: 1}) for key in keys]
     width = len(keys)
     constraints = []
 
     if d_isotypic is not None:
-        images = []
-        for xe, ye in keys:
-            mono = LaurentPoly.monomial(ctx, xe=xe, ye=ye)
-            images.append(roots.project(mono, d_isotypic))
         targets = {}
-        for t, image in enumerate(images):
-            for (xe, ye, ce, he), value in image.terms.items():
-                targets.setdefault((xe, ye), {})[t] = value
-        seen = set(targets)
-        seen.update(index)
-        for tkey in sorted(seen):
+        for t, mono in enumerate(monomials):
+            for key, value in roots.project(mono, d_isotypic).terms.items():
+                targets.setdefault(key, {})[t] = value
+        for tkey in sorted(targets.keys() | index.keys()):
             row = [0] * width
             for t, value in targets.get(tkey, {}).items():
                 row[t] += value
@@ -436,10 +392,10 @@ def graded_dimension(spec, d_isotypic, window):
         for r in range(n):
             for s in range(r + 1, n):
                 residual_rows = {}
-                for t, (xe, ye) in enumerate(keys):
-                    shifted = list(xe)
-                    shifted[r] += clear
-                    mono = LaurentPoly.monomial(ctx, xe=tuple(shifted), ye=ye)
+                unit = LaurentPoly.x(ctx, r, clear)
+                for t, mono in enumerate(monomials):
+                    if clear:
+                        mono = mono * unit
                     coeffs = taylor_pair(mono, (r, s), spec.d)
                     for order, poly in coeffs.items():
                         for key, value in poly.terms.items():
@@ -451,15 +407,11 @@ def graded_dimension(spec, d_isotypic, window):
                     constraints.append(residual_rows[rkey])
 
     basis_vectors = nullspace(constraints, width)
-    basis = []
-    for vec in basis_vectors:
-        terms = {}
-        for t, value in enumerate(vec):
-            if value:
-                xe, ye = keys[t]
-                terms[(xe, ye, 0, 0)] = value
-        basis.append(LaurentPoly(ctx, terms))
-    return GradedSlice(window, keys, basis)
+    basis = [
+        LaurentPoly(ctx, {keys[t]: value for t, value in enumerate(vec) if value})
+        for vec in basis_vectors
+    ]
+    return GradedSlice(keys, basis)
 
 
 def verify_containment(n, d, lam_bound, f_degree, normalization="raw"):
@@ -508,8 +460,7 @@ def verify_spanning(n, d, window):
     spec = IdealSpec(roots, d)
     ctx = VarContext(n)
     slice_ = graded_dimension(spec, d, window)
-    keys = list(slice_.columns)
-    index = {key: t for t, key in enumerate(keys)}
+    index = {key: t for t, key in enumerate(slice_.columns)}
     vectors = []
     generators = 0
     failures = []
@@ -518,16 +469,16 @@ def verify_spanning(n, d, window):
             f = LaurentPoly.monomial(ctx, ye=ye)
             cls = class_commutative(lam, f, d, roots)
             poly = class_to_poly(ctx, cls)
-            if not poly or not window.contains(poly):
+            if not poly or not poly.terms.keys() <= index.keys():
                 continue
             generators += 1
             ok, witness = membership(poly, spec)
             if not ok:
                 failures.append({"lam": lam, "dressing": ye, "witness": witness})
                 continue
-            row = [0] * len(keys)
-            for (xe, ye2, ce, he), value in poly.terms.items():
-                row[index[(xe, ye2)]] = value
+            row = [0] * len(index)
+            for key, value in poly.terms.items():
+                row[index[key]] = value
             vectors.append(row)
     span_dim = span_dimension(vectors) if vectors else 0
     return {

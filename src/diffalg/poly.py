@@ -6,10 +6,11 @@ of coefficients goes through ``scalar_div``.  A polynomial lives in variables
 x1..xn (Laurent, integer exponents of either sign), y1..yn (ordinary,
 nonnegative exponents), and two central parameters c and h.
 
-Monomials are keyed by (x-exponents, y-exponents, c-exponent, h-exponent).
-The canonical form of a polynomial never stores a zero coefficient, and the
-canonical term order is descending lexicographic on
-(y-exponents, x-exponents, c-exponent, h-exponent).
+A term is stored under a key holding its x-, y-, c- and h-exponents.  The
+key layout is private to this module; elsewhere keys are opaque, built by
+``monomial_key`` and read by ``term_degree``.  The canonical form never
+stores a zero coefficient, and the canonical term order is descending
+lexicographic on (y-exponents, x-exponents, c-exponent, h-exponent).
 
 Rational functions keep a factored denominator: a multiset of linear forms
 y_r - y_s + a*h + b*c with r < s.  Any sign flip needed to normalise a form
@@ -45,6 +46,13 @@ def _as_scalar(value):
     if isinstance(value, int):
         return int(value)
     raise TypeError(f"not an exact scalar: {value!r}")
+
+
+def require_int(value, name):
+    """value as a plain int; ValueError when it is not an integer."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def scalar_div(a, b):
@@ -229,6 +237,16 @@ def _unit_exponents(ctx, i, power):
     return exps
 
 
+def monomial_key(xe, ye):
+    """The term key of the monomial x^xe y^ye, free of c and h."""
+    return (tuple(xe), tuple(ye), 0, 0)
+
+
+def term_degree(key):
+    """Total degree of a term in y, c and h; x, a unit, does not count."""
+    return sum(key[1]) + key[2] + key[3]
+
+
 def linear_poly(ctx, ys, h=0, c=0):
     """The linear polynomial sum_i ys[i]*y_i + h*h + c*c."""
     if len(ys) != ctx.n:
@@ -262,6 +280,25 @@ def act_perm(w, f):
             nye[w[j]] = ye[j]
         out[(tuple(nxe), tuple(nye), ce, he)] = coeff
     return LaurentPoly(f.ctx, out)
+
+
+def act_matrix(m, f):
+    """Integer matrix as substitution: y_j -> sum_i m[i][j] y_i, x^e -> x^(m e)."""
+    ctx = f.ctx
+    columns = [linear_poly(ctx, [row[j] for row in m]) for j in range(ctx.n)]
+    powers = {}
+    out = {}
+    for (xe, ye, ce, he), coeff in f.terms.items():
+        mxe = [sum(a * e for a, e in zip(row, xe)) for row in m]
+        piece = LaurentPoly.monomial(ctx, xe=mxe, ce=ce, he=he, coeff=coeff)
+        for j, e in enumerate(ye):
+            if e:
+                if (j, e) not in powers:
+                    powers[j, e] = columns[j] ** e
+                piece = piece * powers[j, e]
+        for key, c in piece.terms.items():
+            out[key] = out.get(key, 0) + c
+    return LaurentPoly(ctx, out)
 
 
 def shift_y(f, lam):
@@ -484,6 +521,13 @@ class RationalFunction:
     denominator.  One pass over the sorted forms suffices: a form that does
     not divide the numerator divides no quotient of it either, so each copy
     of a form is tried until the first miss and the copies after it are kept.
+
+    The reduced pair (num, sorted den) is unique to the function, so equality
+    and hashing compare it.  Forms are irreducible and pairwise
+    non-proportional; if n1/D1 = n2/D2 and a form F occurs more often in D1
+    than in D2, then F divides n1 * D2 = n2 * D1 more often than D2, so F
+    divides n1, which reduction rules out.  So D1 = D2 and n1 = n2 (zero has
+    the empty denominator).  Negation and nonzero scalars keep a pair reduced.
     """
 
     __slots__ = ("num", "den")
@@ -502,6 +546,14 @@ class RationalFunction:
                 kept.append(form)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", tuple(kept))
+
+    @classmethod
+    def _reduced(cls, num, den):
+        """The function num / den of a pair known to be reduced unless num is 0."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den if num else ())
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -551,7 +603,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -563,7 +615,9 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction._reduced(self.num * other, self.den)
+        if isinstance(other, LaurentPoly):
             return RationalFunction(self.num * other, self.den)
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -575,7 +629,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return not self - other
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))

@@ -17,7 +17,7 @@ from fractions import Fraction
 import itertools
 from math import prod
 
-from .poly import LaurentPoly, linear_poly
+from .poly import LaurentPoly, act_matrix, linear_poly
 
 
 def identity_perm(n):
@@ -177,22 +177,7 @@ class RootData:
 
     def act_matrix(self, m, f):
         """Group element as substitution: y_j -> sum_i m[i][j] y_i, x^e -> x^(m e)."""
-        ctx = f.ctx
-        columns = [linear_poly(ctx, [row[j] for row in m]) for j in range(self.rank)]
-        powers = {}
-        out = {}
-        for (xe, ye, ce, he), coeff in f.terms.items():
-            piece = LaurentPoly.monomial(
-                ctx, xe=_mat_vec(m, xe), ce=ce, he=he, coeff=coeff
-            )
-            for j, e in enumerate(ye):
-                if e:
-                    if (j, e) not in powers:
-                        powers[j, e] = columns[j] ** e
-                    piece = piece * powers[j, e]
-            for key, c in piece.terms.items():
-                out[key] = out.get(key, 0) + c
-        return LaurentPoly(ctx, out)
+        return act_matrix(m, f)
 
     def stabilizer_size(self, lam):
         return sum(1 for m in self.elements if _mat_vec(m, lam) == tuple(lam))

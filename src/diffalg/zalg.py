@@ -41,8 +41,10 @@ from .poly import (
     collect,
     linear_poly,
     poly_to_text,
+    require_int,
     shift_y,
     subst_params,
+    term_degree,
 )
 from .weyl import RootData, all_perms, identity_perm, perm_on_vector
 from . import daha
@@ -67,8 +69,10 @@ class AbelianMatter:
     """
 
     def __init__(self, rank, characters):
-        self.rank = rank
-        self.characters = tuple(tuple(ch) for ch in characters)
+        self.rank = require_int(rank, "the rank")
+        self.characters = tuple(
+            tuple(require_int(v, "a character entry") for v in ch) for ch in characters
+        )
         for ch in self.characters:
             if len(ch) != rank:
                 raise ValueError("character length must match the rank")
@@ -78,7 +82,7 @@ class AbelianMatter:
     def from_config(cls, data):
         """Build from a mapping with keys ``rank`` and ``characters``."""
         try:
-            return cls(int(data["rank"]), data["characters"])
+            return cls(data["rank"], data["characters"])
         except KeyError as exc:
             raise ValueError(f"matter record is missing key {exc}") from None
         except TypeError as exc:
@@ -192,8 +196,8 @@ class AbelianZElt:
                 abs(self.matter.weight(ell, lam) + self.i - self.j)
                 for ell in range(len(self.matter.characters))
             )
-            for (_, ye, ce, he) in f.terms:
-                degrees.add(base + 2 * (sum(ye) + ce + he))
+            for key in f.terms:
+                degrees.add(base + 2 * term_degree(key))
         if not degrees:
             return 0
         if len(degrees) > 1:
@@ -487,13 +491,9 @@ def class_commutative(lam, f, d, roots, normalization="reduced"):
 
 def class_to_poly(ctx, cls):
     """Flatten a class mapping (coweight -> coefficient) to sum coeff * x^lam."""
-    return LaurentPoly(
-        ctx,
-        collect(
-            ((tuple(map(add, xe, lam)), ye, ce, he), value)
-            for lam, coeff in cls.items()
-            for (xe, ye, ce, he), value in coeff.terms.items()
-        ),
+    return sum(
+        (coeff * LaurentPoly.monomial(ctx, xe=lam) for lam, coeff in cls.items()),
+        LaurentPoly.zero(ctx),
     )
 
 

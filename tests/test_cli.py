@@ -1,5 +1,6 @@
 """Verification-suite front end: configs, reports, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -207,6 +208,25 @@ def test_dims_subcommand_prints_pinned_dimension(capsys):
     assert "y1 - y2" in out
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        # Taylor rows at rank 3
+        ("--rank 3 --d 1 --xmin 0 --xmax 1 --ymax 2", "bbf20027951b8c329c5555113d8748a998d1830e987763a4ca0763bd9a2fbc44"),
+        # the x-clearing shift of a negative x_min
+        ("--rank 2 --d 2 --xmin -1 --xmax 1 --ymax 2", "ecd9d9dc4e832984428601cd7f5af9c4afee1a024b623335fcef6dc2fc705466"),
+        # no conditions: the basis is the unit vectors in column order
+        ("--rank 2 --d 0 --kind B2 --xmin -1 --xmax 1 --ymax 2 --plain", "33b18b4e9c2e30aaa000008bb3ff70f244e9e9989913c003976426af52aa097d"),
+        # a group acting by matrices that are not permutations
+        ("--rank 2 --d 0 --kind G2 --xmin -1 --xmax 1 --ymax 3", "e91dcc280169cb0e7726e61269b7e96a0ad01a15155397b7546e184f356230da"),
+    ],
+    ids=["taylor", "negative-xmin", "column-order", "g2"],
+)
+def test_dims_basis_listing_is_pinned(capsys, args, digest):
+    assert main(["dims", *args.split(), "--basis"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_dims_rejects_mismatched_kind_rank(capsys):
     assert main(["dims", "--rank", "3", "--d", "1", "--kind", "B2"]) == 2
 
@@ -249,8 +269,22 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
         (["verify", "abelian-zalg", "--matter-config"], "{not json", "line 1"),
         (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1}', "'characters'"),
         (["verify", "abelian-zalg", "--matter-config"], "[1]", "malformed"),
+        (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1.5, "characters": [[1]]}', "rank must be an integer"),
+        (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1, "characters": [[1.5]]}', "entry must be an integer"),
     ],
-    ids=["root-data", "window", "parse", "budget", "budget-nan", "no-file", "bad-json", "missing-key", "not-a-record"],
+    ids=[
+        "root-data",
+        "window",
+        "parse",
+        "budget",
+        "budget-nan",
+        "no-file",
+        "bad-json",
+        "missing-key",
+        "not-a-record",
+        "fractional-rank",
+        "fractional-character",
+    ],
 )
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, matter, expect):
     if argv[-1] == "--matter-config":

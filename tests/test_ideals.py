@@ -1,5 +1,6 @@
 """Symbolic-power ideals: membership, graded slices, determinant bases."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from diffalg.ideals import (
     span_dimension,
     verify_containment,
     verify_spanning,
+    y_exponents,
 )
 from diffalg.poly import LaurentPoly, VarContext, parse_poly, poly_to_text
 from diffalg.weyl import RootData
@@ -115,7 +117,17 @@ def test_window_validation():
     with pytest.raises(ValueError):
         Window(0, 1, -1)
     w = Window(0, 2, 3)
-    assert w.as_dict() == {"x_min": 0, "x_max": 2, "y_max": 3}
+    assert (w.x_min, w.x_max, w.y_max) == (0, 2, 3)
+
+
+def test_window_keys_are_sorted_term_keys():
+    keys = Window(-1, 1, 2).monomial_keys(2)
+    exponents = sorted(
+        (xe, ye) for xe in itertools.product(range(-1, 2), repeat=2) for ye in y_exponents(2, 2)
+    )
+    assert [LaurentPoly(CTX2, {key: 1}) for key in keys] == [
+        LaurentPoly.monomial(CTX2, xe=xe, ye=ye) for xe, ye in exponents
+    ]
 
 
 def test_window_cap_guards_blowup():
@@ -159,15 +171,6 @@ def test_graded_dimension_wider_y_window():
     assert graded_dimension(IdealSpec(ROOTS2, 1), 1, Window(0, 1, 2)).dimension == 10
 
 
-def test_graded_slice_export_shape():
-    signed = graded_dimension(IdealSpec(ROOTS2, 1), 1, NARROW)
-    table = signed.export()
-    assert table["dimension"] == 5
-    assert len(table["rows"]) == 5
-    assert len(table["columns"]) == len(signed.columns)
-    assert table["window"] == {"x_min": 0, "x_max": 1, "y_max": 1}
-
-
 def test_slice_members_actually_belong_to_the_ideal():
     signed = graded_dimension(IdealSpec(ROOTS2, 2), 2, Window(0, 2, 2))
     assert signed.dimension > 0
@@ -181,6 +184,8 @@ def test_plane_subset_validation():
         PlaneSubset([(0, 0), (0, 0)])
     with pytest.raises(ValueError):
         PlaneSubset([(-1, 0)])
+    with pytest.raises(ValueError, match="must be an integer"):
+        PlaneSubset([(1.7, 0), (0, 0)])
     S = PlaneSubset([(3, 1), (5, 0)])
     assert S.n == 2
     assert S.sorted_points() == ((5, 0), (3, 1))

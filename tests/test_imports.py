@@ -65,3 +65,45 @@ def test_dependency_checker_flags_third_party_modules():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_runtime_dependencies(path):
     assert _foreign_imports(path.read_text()) == []
+
+
+def _four_element_targets(source):
+    """Lines where a four-element tuple or list is in an assignment or loop target.
+
+    That covers unpacking into four names and storing under a four-element
+    subscript such as ``terms[(xe, ye, 0, 0)] = value``.
+    """
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            targets = [node.target]
+        else:
+            continue
+        lines.update(
+            sub.lineno
+            for target in targets
+            for sub in ast.walk(target)
+            if isinstance(sub, (ast.Tuple, ast.List)) and len(sub.elts) == 4
+        )
+    return sorted(lines)
+
+
+def test_key_checker_flags_four_element_targets():
+    source = (
+        "a, b, c, d = key\n"
+        "for (w, x, y, z), v in items:\n"
+        "    p, q = v\n"
+        "out = [e for [e, f, g, h] in keys]\n"
+        "key = (1, 2, 3, 4)\n"
+        "first, *rest = key\n"
+        "terms[(xe, ye, 0, 0)] = 1\n"
+    )
+    assert _four_element_targets(source) == [1, 2, 4, 7]
+
+
+# The layout of a term key (x-, y-, c- and h-exponents) is private to poly.py.
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"], ids=lambda path: path.name)
+def test_term_keys_are_unpacked_only_in_poly(path):
+    assert _four_element_targets(path.read_text()) == []

@@ -15,11 +15,13 @@ from diffalg.poly import (
     act,
     act_perm,
     exact_divide,
+    monomial_key,
     parse_poly,
     poly_to_text,
     shift_y,
     subst_params,
     taylor_pair,
+    term_degree,
 )
 from diffalg.daha import DiffReflOp
 from diffalg.ideals import span_dimension
@@ -177,6 +179,13 @@ def test_parse_products_and_fractions():
     assert parse_poly("x1^2 - 2*x1*x2 + x2^2", CTX2) == (x(0) - x(1)) ** 2
     assert parse_poly("1/2*x1 - 1/2*x2", CTX2) * 2 == x(0) - x(1)
     assert parse_poly("(y1 - y2)*x1^-1", CTX2) == (y(0) - y(1)) * LaurentPoly.x(CTX2, 0, -1)
+
+
+def test_term_keys_build_monomials_and_read_degrees():
+    key = monomial_key((1, -2), (2, 0))
+    assert LaurentPoly(CTX2, {key: 1}) == LaurentPoly.monomial(CTX2, xe=(1, -2), ye=(2, 0))
+    f = parse_poly("x1^-3*y1^2*y2*c*h^2 + x2", CTX2)
+    assert sorted(term_degree(key) for key in f.terms) == [0, 6]
 
 
 def test_permutation_action_moves_variables():
@@ -521,6 +530,56 @@ def test_rational_function_right_subtraction():
     assert 1 - rf == -(rf - 1)
     assert y(0) - rf == -(rf - y(0))
     assert (1 - rf) + rf == 1
+
+
+def test_rational_function_equality_is_value_equality():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    forms = _form_strategy(st, CTX2)
+
+    @st.composite
+    def functions(draw):
+        """Reduced functions whose construction cancels the extra forms."""
+        num = draw(_random_poly_strategy(st, CTX2, max_terms=4))
+        den = draw(st.lists(forms, max_size=2))
+        extra = draw(st.lists(forms, max_size=2))
+        for form in extra:
+            num = num * form.to_poly(CTX2)
+        return RationalFunction(num, den + extra)
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(functions(), functions(), st.lists(forms, max_size=2), st.booleans())
+    def check(a, other, cofactors, same):
+        b = other
+        if same:
+            # a presentation of a's value, forms reordered, that must cancel back to it
+            num = a.num
+            for form in cofactors:
+                num = num * form.to_poly(CTX2)
+            b = RationalFunction(num, tuple(cofactors) + a.den[::-1])
+        assert (a == b) == (not (a - b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    check()
+
+
+def test_negation_and_scalar_products_skip_cancellation(monkeypatch):
+    f = RationalFunction(y(0) * y(1) + LaurentPoly.c(CTX2), [LinearForm(0, 1, 1, 0), LinearForm(0, 1, 0, 1)])
+    op = DiffReflOp(CTX2, {((0, 1), (0, 0)): f, ((1, 0), (1, 0)): -f})
+    calls = []
+
+    def counting(g, form):
+        calls.append(form)
+        return exact_divide(g, form)
+
+    monkeypatch.setattr(poly, "exact_divide", counting)
+    for scaled, factor in ((-f, -1), (f * 3, 3), (Fraction(-2, 5) * f, Fraction(-2, 5))):
+        assert (scaled.num, scaled.den) == (f.num * factor, f.den)
+    zero = f * 0
+    assert (zero.num, zero.den) == (LaurentPoly.zero(CTX2), ())
+    assert -op == op * -1 != op
+    assert calls == []
 
 
 def test_rational_function_denominator_poly():

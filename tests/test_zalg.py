@@ -41,6 +41,9 @@ CTX2 = VarContext(2)
 def test_matter_validation():
     with pytest.raises(ValueError):
         AbelianMatter(2, [[1]])
+    for rank, characters in ((1.5, [[1]]), (1, [[1.5]]), (2, [[1, Fraction(1, 2)]])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AbelianMatter(rank, characters)
     assert AbelianMatter.from_config({"rank": 1, "characters": [[1]]}) == MATTER1
 
 
