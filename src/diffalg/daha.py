@@ -41,11 +41,11 @@ from .poly import (
     RationalFunction,
     VarContext,
     act,
-    collect,
     linear_poly,
     parse_poly,
     poly_to_text,
     subst_params,
+    sum_by_key,
 )
 from .weyl import (
     all_perms,
@@ -86,7 +86,7 @@ class DiffReflOp:
     def __add__(self, other):
         if not isinstance(other, DiffReflOp):
             return NotImplemented
-        return DiffReflOp(self.ctx, collect(chain(self.terms.items(), other.terms.items())))
+        return DiffReflOp(self.ctx, sum_by_key(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return DiffReflOp(self.ctx, {k: -v for k, v in self.terms.items()})
@@ -111,12 +111,12 @@ class DiffReflOp:
         pairs = (
             (
                 (perm_mul(w1, w2), tuple(map(add, l1, perm_on_vector(w1, l2)))),
-                f1 * f2.act((w1, l1)),
+                (f1, f2, (w1, l1)),
             )
             for (w1, l1), f1 in self.terms.items()
             for (w2, l2), f2 in other.terms.items()
         )
-        return DiffReflOp(self.ctx, collect(pairs))
+        return DiffReflOp(self.ctx, sum_by_key(pairs, lambda f1, f2, g1: f1 * f2.act(g1)))
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -134,9 +134,9 @@ class DiffReflOp:
 
     def apply(self, f):
         """Apply to a polynomial; raises NotPolynomialPreserving on failure."""
-        total = RationalFunction.zero(self.ctx)
-        for (w, lam), coeff in self.terms.items():
-            total = total + coeff * act((w, lam), f)
+        if not self.terms:
+            return LaurentPoly.zero(self.ctx)
+        total = RationalFunction.sum(coeff * act(g, f) for g, coeff in self.terms.items())
         if not total.is_polynomial():
             raise NotPolynomialPreserving(
                 f"result is not polynomial: {total!r}"
@@ -149,7 +149,7 @@ class DiffReflOp:
         On symmetric inputs the operator acts through this collapsed family:
         op(f) = sum_lam collapse[lam] * shift_lam(f) whenever f is symmetric.
         """
-        return collect((lam, coeff) for (w, lam), coeff in self.terms.items())
+        return sum_by_key((lam, coeff) for (w, lam), coeff in self.terms.items())
 
     def subst_c(self, c_to_h):
         """Substitute c -> c + c_to_h*h in every coefficient.
@@ -343,10 +343,8 @@ def evaluate_word(ctx, word):
 
 
 def evaluate_word_sum(ctx, word_sum):
-    total = DiffReflOp.zero(ctx)
-    for coeff, word in word_sum:
-        total = total + evaluate_word(ctx, word) * coeff
-    return total
+    ops = [evaluate_word(ctx, word) * coeff for coeff, word in word_sum]
+    return DiffReflOp(ctx, sum_by_key(chain(*(op.terms.items() for op in ops))))
 
 
 def phi_word(word, n):

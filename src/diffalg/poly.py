@@ -22,8 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
-from operator import add
+from functools import reduce
+from math import comb, lcm, prod
+from operator import add, or_
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,28 @@ def collect(pairs):
     """Sum the values of (key, value) pairs per key and drop the zero sums.
 
     Keys keep the order of their first appearance.  Values are anything that
-    adds and tests zero by truthiness: scalars, polynomials, rational
-    functions.
+    adds and tests zero by truthiness, such as scalars and polynomials;
+    ``sum_by_key`` sums rational functions.
     """
     out = {}
     for key, value in pairs:
         out[key] = out[key] + value if key in out else value
     return {key: value for key, value in out.items() if value}
+
+
+def sum_by_key(pairs, term=None):
+    """``collect`` for rational functions, one ``RationalFunction.sum`` per key.
+
+    With ``term``, values are argument tuples of term, built one key at a time.
+    """
+    groups = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    sums = {
+        key: RationalFunction.sum((term(*v) for v in values) if term else values)
+        for key, values in groups.items()
+    }
+    return {key: total for key, total in sums.items() if total}
 
 
 class LaurentPoly:
@@ -109,6 +125,8 @@ class LaurentPoly:
     def monomial(cls, ctx, xe=None, ye=None, ce=0, he=0, coeff=1):
         xe = tuple(xe) if xe is not None else (0,) * ctx.n
         ye = tuple(ye) if ye is not None else (0,) * ctx.n
+        for e in (*xe, *ye, ce, he):
+            require_int(e, "an exponent")
         if len(xe) != ctx.n or len(ye) != ctx.n:
             raise ValueError("exponent vector length mismatch")
         if any(e < 0 for e in ye) or ce < 0 or he < 0:
@@ -196,9 +214,11 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_ctx(other)
+        # Fraction-free: int products of the lcm-scaled operands, one division each.
+        d1, left = _integral_terms(self.terms)
+        d2, right = _integral_terms(other.terms)
         out = {}
-        right = list(other.terms.items())
-        for (xe1, ye1, ce1, he1), c1 in self.terms.items():
+        for (xe1, ye1, ce1, he1), c1 in left:
             for (xe2, ye2, ce2, he2), c2 in right:
                 key = (
                     tuple(map(add, xe1, xe2)),
@@ -207,6 +227,8 @@ class LaurentPoly:
                     he1 + he2,
                 )
                 out[key] = out.get(key, 0) + c1 * c2
+        if d1 * d2 != 1:
+            out = {key: scalar_div(coeff, d1 * d2) for key, coeff in out.items()}
         return LaurentPoly(self.ctx, out)
 
     __rmul__ = __mul__
@@ -226,6 +248,14 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({poly_to_text(self)})"
+
+
+def _integral_terms(terms):
+    """(d, items): d the lcm of the coefficient denominators, items the terms * d."""
+    if Fraction not in map(type, terms.values()):
+        return 1, terms.items()
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
 
 
 def _unit_exponents(ctx, i, power):
@@ -289,8 +319,8 @@ def act_matrix(m, f):
     powers = {}
     out = {}
     for (xe, ye, ce, he), coeff in f.terms.items():
-        mxe = [sum(a * e for a, e in zip(row, xe)) for row in m]
-        piece = LaurentPoly.monomial(ctx, xe=mxe, ce=ce, he=he, coeff=coeff)
+        mxe = tuple(sum(a * e for a, e in zip(row, xe)) for row in m)
+        piece = LaurentPoly(ctx, {(mxe, (0,) * ctx.n, ce, he): coeff})
         for j, e in enumerate(ye):
             if e:
                 if (j, e) not in powers:
@@ -509,8 +539,8 @@ def exact_divide(f, form):
     return LaurentPoly(f.ctx, quotient)
 
 
-def _forms_product(ctx, forms):
-    return prod((form.to_poly(ctx) for form in forms), start=LaurentPoly.one(ctx))
+def _times_forms(f, forms):
+    return prod((form.to_poly(f.ctx) for form in forms), start=f)
 
 
 class RationalFunction:
@@ -527,7 +557,18 @@ class RationalFunction:
     non-proportional; if n1/D1 = n2/D2 and a form F occurs more often in D1
     than in D2, then F divides n1 * D2 = n2 * D1 more often than D2, so F
     divides n1, which reduction rules out.  So D1 = D2 and n1 = n2 (zero has
-    the empty denominator).  Negation and nonzero scalars keep a pair reduced.
+    the empty denominator).  Operations try a form only where it can cancel:
+
+    (1) Automorphisms keep a pair reduced: negation, nonzero scalars, ``act``
+    and ``subst_c`` send forms to forms and preserve divisibility.  (2) Forms
+    are pairwise non-associate irreducibles in a UFD, so primes.  A product
+    first cancels num1 against den2 and num2 against den1; a form left in den1
+    then divides neither num1 nor the rest of num2, so not their product, and
+    likewise for den2.  (3) Over the union denominator U a sum is
+    sum_i n_i * (U/D_i).  Let F occur u times in U.  A summand with fewer than
+    u copies of F in D_i is a multiple of F.  If exactly one summand reaches
+    u, the sum is that summand mod F, nonzero mod F as F divides neither n_i
+    nor U/D_i.  So only forms that two summands carry u times are tried.
     """
 
     __slots__ = ("num", "den")
@@ -549,10 +590,10 @@ class RationalFunction:
 
     @classmethod
     def _reduced(cls, num, den):
-        """The function num / den of a pair known to be reduced unless num is 0."""
+        """num / den for a pair known to be reduced unless num is 0."""
         out = object.__new__(cls)
         object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den if num else ())
+        object.__setattr__(out, "den", tuple(sorted(den)) if num else ())
         return out
 
     def __setattr__(self, name, value):
@@ -565,6 +606,20 @@ class RationalFunction:
     @classmethod
     def one(cls, ctx):
         return cls(LaurentPoly.one(ctx), ())
+
+    @classmethod
+    def sum(cls, values):
+        """The sum of a nonempty family, put over its union denominator once."""
+        values = list(values)
+        counts = [Counter(value.den) for value in values]
+        union = reduce(or_, counts)
+        num = LaurentPoly.zero(values[0].ctx)
+        for value, count in zip(values, counts):
+            num = num + _times_forms(value.num, (union - count).elements())
+        tops = Counter(f for c in counts for f in c if c[f] == union[f])
+        shared = Counter({f: union[f] for f in tops if tops[f] > 1})
+        part = cls(num, shared.elements())
+        return cls._reduced(part.num, part.den + tuple((union - shared).elements()))
 
     @property
     def ctx(self):
@@ -580,7 +635,7 @@ class RationalFunction:
         return not self.den
 
     def den_poly(self):
-        return _forms_product(self.ctx, self.den)
+        return _times_forms(LaurentPoly.one(self.ctx), self.den)
 
     def _coerce(self, other):
         """other as a RationalFunction, or None when it is none of the operand types."""
@@ -594,11 +649,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        mine, theirs = Counter(self.den), Counter(other.den)
-        union = mine | theirs
-        num = self.num * _forms_product(self.ctx, (union - mine).elements())
-        num = num + other.num * _forms_product(self.ctx, (union - theirs).elements())
-        return RationalFunction(num, tuple(union.elements()))
+        return RationalFunction.sum((self, other))
 
     __radd__ = __add__
 
@@ -618,10 +669,12 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return RationalFunction._reduced(self.num * other, self.den)
         if isinstance(other, LaurentPoly):
-            return RationalFunction(self.num * other, self.den)
+            other = RationalFunction._reduced(other, ())
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den + other.den)
+        left = RationalFunction(self.num, other.den)
+        right = RationalFunction(other.num, self.den)
+        return RationalFunction._reduced(left.num * right.num, left.den + right.den)
 
     __rmul__ = __mul__
 
@@ -636,18 +689,15 @@ class RationalFunction:
 
     def act(self, g):
         """Extended affine action on both numerator and denominator forms."""
-        w, lam = g
-        num = act(g, self.num)
-        den = []
-        for form in self.den:
-            nform, sign = form.transform(w, lam)
-            den.append(nform)
-            if sign < 0:
-                num = -num
-        return RationalFunction(num, den)
+        images = [form.transform(*g) for form in self.den]
+        num = act(g, self.num if prod(sign for _, sign in images) > 0 else -self.num)
+        return RationalFunction._reduced(num, (form for form, _ in images))
 
     def subst_c(self, c_sign=1, c_to_h=0):
-        return RationalFunction(
+        """Substitute c -> c_sign*c + c_to_h*h, an automorphism for c_sign = +-1."""
+        if c_sign not in (1, -1):
+            raise ValueError(f"c_sign must be 1 or -1, got {c_sign!r}")
+        return RationalFunction._reduced(
             subst_params(self.num, c_sign=c_sign, c_to_h=c_to_h),
             [form.subst_c(c_sign, c_to_h) for form in self.den],
         )

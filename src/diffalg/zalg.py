@@ -44,6 +44,7 @@ from .poly import (
     require_int,
     shift_y,
     subst_params,
+    sum_by_key,
     term_degree,
 )
 from .weyl import RootData, all_perms, identity_perm, perm_on_vector
@@ -337,7 +338,7 @@ class SphericalClass:
             raise TagMismatch(
                 f"cannot add tags ({self.i},{self.j}) and ({other.i},{other.j})"
             )
-        terms = collect(chain(self.terms.items(), other.terms.items()))
+        terms = sum_by_key(chain(self.terms.items(), other.terms.items()))
         return SphericalClass(
             self.ctx, self.i, self.j, terms, self.exact and other.exact
         )
@@ -388,11 +389,12 @@ def spherical_compose(a, b):
     if a.j != b.i:
         raise TagMismatch(f"inner tags disagree: {a.j} vs {b.i}")
     identity = identity_perm(a.ctx.n)
-    terms = collect(
-        (tuple(map(add, lam, mu)), f * g.act((identity, lam)))
+    pairs = (
+        (tuple(map(add, lam, mu)), (f, g, lam))
         for lam, f in a.terms.items()
         for mu, g in b.terms.items()
     )
+    terms = sum_by_key(pairs, lambda f, g, lam: f * g.act((identity, lam)))
     return SphericalClass(a.ctx, a.i, b.j, terms, a.exact and b.exact)
 
 

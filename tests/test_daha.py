@@ -132,6 +132,7 @@ def test_non_polynomial_application_is_reported():
 def test_pi_translates_last_variable():
     f = LaurentPoly.y(CTX2, 1)
     assert op_pi(CTX2).apply(f) == LaurentPoly.y(CTX2, 0) + LaurentPoly.h(CTX2)
+    assert DiffReflOp.zero(CTX2).apply(f) == 0
 
 
 def test_delta_poly_matches_root_system_alternant():

@@ -1,7 +1,9 @@
 """Exact polynomial layer: arithmetic, text round trips, linear-form division."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -86,6 +88,19 @@ def test_monomial_rejects_negative_parameter_exponents():
             LaurentPoly.monomial(CTX2, ce=ce, he=he)
     f = LaurentPoly.monomial(CTX2, xe=(-1, 0), ce=1, he=2)
     assert parse_poly(poly_to_text(f), CTX2) == f
+
+
+def test_monomial_rejects_non_integer_exponents():
+    # each would print as text that parse_poly refuses, e.g. x1^1.5 or c^0.5
+    for make in (
+        lambda: LaurentPoly.monomial(VarContext(1), xe=(1.5,)),
+        lambda: LaurentPoly.x(CTX2, 0, Fraction(1, 2)),
+        lambda: LaurentPoly.monomial(CTX2, ce=0.5),
+        lambda: LaurentPoly.monomial(CTX2, ye=(0, 1.0)),
+        lambda: LaurentPoly.monomial(CTX2, he=Fraction(2)),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
 
 
 def test_generators_reject_out_of_range_index():
@@ -532,23 +547,38 @@ def test_rational_function_right_subtraction():
     assert (1 - rf) + rf == 1
 
 
+def _rational_strategy(st, forms):
+    """Reduced functions on CTX2 whose construction cancels the extra forms.
+
+    The numerator also carries up to two forms of its own, which a product
+    with another function may cancel.
+    """
+
+    @st.composite
+    def functions(draw):
+        num = draw(_random_poly_strategy(st, CTX2, max_terms=4))
+        den = draw(st.lists(forms, max_size=2))
+        extra = draw(st.lists(forms, max_size=2))
+        for form in extra + draw(st.lists(forms, max_size=2)):
+            num = num * form.to_poly(CTX2)
+        return RationalFunction(num, den + extra)
+
+    return functions()
+
+
+def _few_forms_strategy(st):
+    """Six forms on CTX2, few enough that numerators and denominators share them."""
+    return st.sampled_from([LinearForm(0, 1, a, b) for a in (-1, 0, 1) for b in (0, 1)])
+
+
 def test_rational_function_equality_is_value_equality():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     forms = _form_strategy(st, CTX2)
-
-    @st.composite
-    def functions(draw):
-        """Reduced functions whose construction cancels the extra forms."""
-        num = draw(_random_poly_strategy(st, CTX2, max_terms=4))
-        den = draw(st.lists(forms, max_size=2))
-        extra = draw(st.lists(forms, max_size=2))
-        for form in extra:
-            num = num * form.to_poly(CTX2)
-        return RationalFunction(num, den + extra)
+    functions = _rational_strategy(st, forms)
 
     @_hypothesis_settings(hypothesis)
-    @hypothesis.given(functions(), functions(), st.lists(forms, max_size=2), st.booleans())
+    @hypothesis.given(functions, functions, st.lists(forms, max_size=2), st.booleans())
     def check(a, other, cofactors, same):
         b = other
         if same:
@@ -580,6 +610,102 @@ def test_negation_and_scalar_products_skip_cancellation(monkeypatch):
     assert (zero.num, zero.den) == (LaurentPoly.zero(CTX2), ())
     assert -op == op * -1 != op
     assert calls == []
+
+
+def test_fast_paths_agree_with_the_full_constructor():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    functions = _rational_strategy(st, _few_forms_strategy(st))
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(
+        st.lists(functions, min_size=1, max_size=4),
+        _random_poly_strategy(st, CTX2, max_terms=3),
+        st.permutations(range(2)).map(tuple),
+        st.tuples(*[st.integers(-1, 1)] * 2),
+        st.sampled_from((1, -1)),
+        st.integers(-2, 2),
+    )
+    def check(fs, p, w, lam, c_sign, c_to_h):
+        a = fs[0]
+        # the second factor's numerator is a multiple of a's denominator
+        for b in (fs[-1], RationalFunction(p * a.den_poly(), fs[-1].den)):
+            assert a * b == b * a == RationalFunction(a.num * b.num, a.den + b.den)
+        for q in (p, p * a.den_poly()):
+            assert a * q == q * a == RationalFunction(a.num * q, a.den)
+        union = Counter()
+        for f in fs:
+            union |= Counter(f.den)
+        num = LaurentPoly.zero(CTX2)
+        for f in fs:
+            padding = [form.to_poly(CTX2) for form in (union - Counter(f.den)).elements()]
+            num = num + f.num * prod(padding, start=LaurentPoly.one(CTX2))
+        assert RationalFunction.sum(fs) == RationalFunction(num, list(union.elements()))
+        for f in fs:
+            num, den = act((w, lam), f.num), []
+            for form in f.den:
+                image, sign = form.transform(w, lam)
+                num, den = num * sign, den + [image]
+            assert f.act((w, lam)) == RationalFunction(num, den)
+            assert f.subst_c(c_sign, c_to_h) == RationalFunction(
+                subst_params(f.num, c_sign=c_sign, c_to_h=c_to_h),
+                [form.subst_c(c_sign, c_to_h) for form in f.den],
+            )
+
+    check()
+
+
+def test_fraction_free_product_agrees_with_fraction_pairs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(_random_poly_strategy(st, CTX3), _random_poly_strategy(st, CTX3))
+    def check(f, g):
+        want = {}
+        for (xe1, ye1, ce1, he1), c1 in f.terms.items():
+            for (xe2, ye2, ce2, he2), c2 in g.terms.items():
+                key = (
+                    tuple(a + b for a, b in zip(xe1, xe2)),
+                    tuple(a + b for a, b in zip(ye1, ye2)),
+                    ce1 + ce2,
+                    he1 + he2,
+                )
+                want[key] = want.get(key, 0) + Fraction(c1) * Fraction(c2)
+        product = f * g
+        assert product.terms == {key: c for key, c in want.items() if c}
+        assert all(map(_is_canonical, product.terms.values()))
+
+    check()
+
+
+def test_automorphisms_and_unshared_forms_skip_cancellation(monkeypatch):
+    shared, f_only, g_only = LinearForm(0, 1, 1, 0), LinearForm(0, 1, 0, 1), LinearForm(0, 1, -1, 0)
+    f = RationalFunction(y(0) * y(1) + LaurentPoly.c(CTX2), [shared, f_only])
+    g = RationalFunction(x(0), [g_only])
+    other = RationalFunction(x(1), [shared])
+    calls = []
+
+    def counting(p, form):
+        calls.append(form)
+        return exact_divide(p, form)
+
+    monkeypatch.setattr(poly, "exact_divide", counting)
+    f.act(((1, 0), (1, -1)))
+    f.subst_c(c_sign=-1, c_to_h=2)
+    RationalFunction.sum([f, g, RationalFunction(y(0))])
+    f + g
+    assert calls == []
+    # only the form that two summands carry at the union's multiplicity is tried
+    RationalFunction.sum([f, other, g])
+    assert calls == [shared]
+
+
+def test_subst_c_is_only_an_automorphism_for_a_unit_sign():
+    f = RationalFunction(x(0), [LinearForm(0, 1, 0, 1)])
+    for c_sign in (0, 2, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="c_sign"):
+            f.subst_c(c_sign=c_sign)
 
 
 def test_rational_function_denominator_poly():
