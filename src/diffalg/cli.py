@@ -97,8 +97,8 @@ class CheckConfig:
     ``suite`` is a registered suite name or "all"; ``rank`` is the number of
     variables; the caps bound the degrees and windows the suites sweep;
     ``seed`` drives all randomness; ``budget`` is the per-suite time budget
-    in seconds; ``matter`` optionally replaces the built-in character
-    configurations of the abelian suite.
+    in seconds; ``matter``, a nonempty list of matter records, optionally
+    replaces the built-in character configurations of the abelian suite.
     """
 
     __slots__ = (
@@ -128,6 +128,8 @@ class CheckConfig:
                 raise ValueError(f"{name} must be a non-negative integer")
         if not (math.isfinite(budget) and budget > 0):
             raise ValueError("budget must be a positive finite number")
+        if matter is not None and not matter:
+            raise ValueError("matter must list at least one record")
         self.suite = suite
         self.rank = rank
         self.d_max = d_max
@@ -221,17 +223,17 @@ def _default_matters():
 
 
 def _random_poly(rng, ctx):
-    out = LaurentPoly.zero(ctx)
-    for _ in range(rng.randint(1, 2)):
-        ye = tuple(rng.randint(0, 2) for _ in range(ctx.n))
-        out = out + LaurentPoly.monomial(
+    terms = [
+        LaurentPoly.monomial(
             ctx,
-            ye=ye,
+            ye=[rng.randint(0, 2) for _ in range(ctx.n)],
             ce=rng.randint(0, 1),
             he=rng.randint(0, 1),
             coeff=rng.choice([-3, -2, -1, 1, 2, 3]),
         )
-    return out
+        for _ in range(rng.randint(1, 2))
+    ]
+    return LaurentPoly.sum(ctx, terms)
 
 
 def _random_abelian(rng, matter, i, j, monomial=False):
@@ -295,9 +297,8 @@ def _suite_e_lambda(cfg, rng):
 
 
 def _suite_abelian_zalg(cfg, rng):
-    configs = cfg.matter if cfg.matter else _default_matters()
-    matters = [AbelianMatter.from_config(data) for data in configs]
-    trials = max(35, 105 // max(len(matters), 1))
+    matters = [AbelianMatter.from_config(data) for data in cfg.matter or _default_matters()]
+    trials = max(35, 105 // len(matters))
     steps = []
     for matter in matters:
         label = f"abelian products, matter rank {matter.rank} x{len(matter.characters)} ({trials} triples)"
@@ -525,10 +526,7 @@ def _suite_springer_module(cfg, rng):
         grade_basis = module_slice_basis(module, 0, window).basis
 
         def combo(basis):
-            out = LaurentPoly.zero(ctx)
-            for p in basis:
-                out = out + rng.randint(-2, 2) * p
-            return out
+            return LaurentPoly.sum(ctx, [rng.randint(-2, 2) * p for p in basis])
 
         for _ in range(10):
             a = combo(slices[1])
@@ -734,6 +732,8 @@ def _cmd_verify(args):
 
 
 def _cmd_dims(args):
+    window = Window(args.xmin, args.xmax, args.ymax)
+    window.check_size(args.rank)
     if args.kind == "A":
         roots = RootData.type_a(args.rank)
     else:
@@ -741,7 +741,6 @@ def _cmd_dims(args):
     if roots.rank != args.rank:
         raise InvalidRank(f"kind {args.kind} fixes rank {roots.rank}, got {args.rank}")
     spec = IdealSpec(roots, args.d)
-    window = Window(args.xmin, args.xmax, args.ymax)
     twist = None if args.plain else args.d
     slice_ = graded_dimension(spec, twist, window)
     print(f"dimension {slice_.dimension} on {window!r}")

@@ -35,6 +35,7 @@ from math import factorial, prod
 from operator import add
 
 from .poly import (
+    Immutable,
     LaurentPoly,
     LinearForm,
     ParseError,
@@ -42,7 +43,7 @@ from .poly import (
     VarContext,
     act,
     linear_poly,
-    parse_poly,
+    parse_factor,
     poly_to_text,
     subst_params,
     sum_by_key,
@@ -62,7 +63,7 @@ class NotPolynomialPreserving(ValueError):
     """Raised when applying an operator leaves a nonzero denominator."""
 
 
-class DiffReflOp:
+class DiffReflOp(Immutable):
     """Finite sum of rational coefficients times extended affine group elements."""
 
     __slots__ = ("ctx", "terms")
@@ -70,9 +71,6 @@ class DiffReflOp:
     def __init__(self, ctx, terms):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", {k: v for k, v in terms.items() if v})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffReflOp is immutable")
 
     @classmethod
     def zero(cls, ctx):
@@ -134,9 +132,9 @@ class DiffReflOp:
 
     def apply(self, f):
         """Apply to a polynomial; raises NotPolynomialPreserving on failure."""
-        if not self.terms:
-            return LaurentPoly.zero(self.ctx)
-        total = RationalFunction.sum(coeff * act(g, f) for g, coeff in self.terms.items())
+        total = RationalFunction.sum(
+            self.ctx, (coeff * act(g, f) for g, coeff in self.terms.items())
+        )
         if not total.is_polynomial():
             raise NotPolynomialPreserving(
                 f"result is not polynomial: {total!r}"
@@ -286,21 +284,7 @@ def parse_word(text, ctx):
             pos += 1
             continue
         if text[pos] == "(":
-            depth, start = 1, pos + 1
-            pos += 1
-            while pos < n and depth:
-                if text[pos] == "(":
-                    depth += 1
-                elif text[pos] == ")":
-                    depth -= 1
-                pos += 1
-            if depth:
-                raise ParseError("unbalanced parenthesis", start)
-            inner = text[start : pos - 1]
-            try:
-                scalar = parse_poly(inner, ctx)
-            except ParseError as exc:
-                raise ParseError(str(exc).split(" (position")[0], start + exc.position)
+            scalar, pos = parse_factor(text, ctx, pos)
             tokens.append(("scalar", scalar))
             continue
         end = pos

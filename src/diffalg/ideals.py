@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .poly import (
+    Immutable,
     LaurentPoly,
     LinearForm,
     VarContext,
@@ -110,7 +111,7 @@ def span_dimension(vectors):
 # -- plane subsets and determinants ----------------------------------------
 
 
-class PlaneSubset:
+class PlaneSubset(Immutable):
     """A list of distinct plane points (a, b): y-exponent a >= 0, x-exponent b.
 
     The order of the points is kept as given, because the sign of the
@@ -127,9 +128,6 @@ class PlaneSubset:
         if any(a < 0 for a, _ in pts):
             raise ValueError("y-exponents must be nonnegative")
         object.__setattr__(self, "points", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneSubset is immutable")
 
     @property
     def n(self):
@@ -152,35 +150,31 @@ class PlaneSubset:
 
 def delta_S_direct(S):
     """The antisymmetric determinant (1/n!) det(y_i^{a_j} x_i^{b_j})."""
-    n = S.n
-    ctx = VarContext(n)
-    out = LaurentPoly.zero(ctx)
-    for w in itertools.permutations(range(n)):
-        xe = [0] * n
-        ye = [0] * n
-        for i in range(n):
-            a, b = S.points[w[i]]
-            ye[i] = a
-            xe[i] = b
-        term = LaurentPoly.monomial(
-            ctx, xe=tuple(xe), ye=tuple(ye), coeff=perm_sign(w)
+    ctx = VarContext(S.n)
+    terms = (
+        LaurentPoly.monomial(
+            ctx,
+            xe=[S.points[j][1] for j in w],
+            ye=[S.points[j][0] for j in w],
+            coeff=perm_sign(w),
         )
-        out = out + term
-    return out * Fraction(1, factorial(n))
+        for w in itertools.permutations(range(S.n))
+    )
+    return LaurentPoly.sum(ctx, terms) * Fraction(1, factorial(S.n))
 
 
 def schur_poly(ctx, var_indices, mu):
     """Schur polynomial s_mu in the listed y-variables, by the bialternant."""
     m = len(var_indices)
     exps = [mu[j] + (m - 1 - j) for j in range(m)]
-    num = LaurentPoly.zero(ctx)
-    for w in itertools.permutations(range(m)):
+
+    def term(w):
         ye = [0] * ctx.n
         for pos in range(m):
             ye[var_indices[pos]] = exps[w[pos]]
-        num = num + LaurentPoly.monomial(
-            ctx, ye=tuple(ye), coeff=perm_sign(w)
-        )
+        return LaurentPoly.monomial(ctx, ye=ye, coeff=perm_sign(w))
+
+    num = LaurentPoly.sum(ctx, map(term, itertools.permutations(range(m))))
     for r, s in itertools.combinations(var_indices, 2):
         quotient = exact_divide(num, LinearForm(r, s, 0, 0))
         if quotient is None:
@@ -236,7 +230,7 @@ def delta_S_schur(S):
 # -- symbolic powers ---------------------------------------------------------
 
 
-class IdealSpec:
+class IdealSpec(Immutable):
     """The d-th symbolic power of the diagonal ideal for a root datum."""
 
     __slots__ = ("roots", "d")
@@ -247,9 +241,6 @@ class IdealSpec:
             raise ValueError("the symbolic power must be nonnegative")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IdealSpec is immutable")
 
     def __repr__(self):
         return f"IdealSpec({self.roots.kind}{self.roots.rank}, d={self.d})"
@@ -307,7 +298,7 @@ def y_exponents(n, degree):
     ]
 
 
-class Window:
+class Window(Immutable):
     """An x-exponent box [x_min, x_max]^n with total y-degree at most y_max."""
 
     __slots__ = ("x_min", "x_max", "y_max")
@@ -320,8 +311,11 @@ class Window:
         if self.y_max < 0:
             raise ValueError("negative y-degree bound")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Window is immutable")
+    def check_size(self, n):
+        """Raise WindowTooLarge when the window has more than WINDOW_CAP monomials at rank n."""
+        size = (self.x_max - self.x_min + 1) ** n * comb(n + self.y_max, n)
+        if size > WINDOW_CAP:
+            raise WindowTooLarge(f"window has {size} monomials (cap {WINDOW_CAP})")
 
     def monomial_keys(self, n):
         """Term keys of the window monomials, sorted on (x-exponents, y-exponents)."""
@@ -334,7 +328,7 @@ class Window:
         return f"Window(x in [{self.x_min},{self.x_max}], y-deg <= {self.y_max})"
 
 
-class GradedSlice:
+class GradedSlice(Immutable):
     """An exact basis of a windowed slice; columns are the window's term keys."""
 
     __slots__ = ("columns", "basis", "dimension")
@@ -343,9 +337,6 @@ class GradedSlice:
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "dimension", len(basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSlice is immutable")
 
 
 def graded_dimension(spec, d_isotypic, window):
@@ -358,15 +349,13 @@ def graded_dimension(spec, d_isotypic, window):
     when the window has more than WINDOW_CAP monomials.
     """
     roots = spec.roots
+    window.check_size(roots.rank)
     if spec.d > 0 and roots.kind != "A":
         raise UnsupportedRootData(
             f"symbolic-power slices support type A root data, not {roots.kind}"
         )
     n = roots.rank
     ctx = VarContext(n)
-    size = (window.x_max - window.x_min + 1) ** n * comb(n + window.y_max, n)
-    if size > WINDOW_CAP:
-        raise WindowTooLarge(f"window has {size} monomials (cap {WINDOW_CAP})")
     keys = window.monomial_keys(n)
     index = {key: t for t, key in enumerate(keys)}
     monomials = [LaurentPoly(ctx, {key: 1}) for key in keys]

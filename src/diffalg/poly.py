@@ -61,35 +61,38 @@ def scalar_div(a, b):
     return _as_scalar(Fraction(a, b))
 
 
-def collect(pairs):
+def sum_by_key(pairs, term=None):
     """Sum the values of (key, value) pairs per key and drop the zero sums.
 
-    Keys keep the order of their first appearance.  Values are anything that
-    adds and tests zero by truthiness, such as scalars and polynomials;
-    ``sum_by_key`` sums rational functions.
-    """
-    out = {}
-    for key, value in pairs:
-        out[key] = out[key] + value if key in out else value
-    return {key: value for key, value in out.items() if value}
-
-
-def sum_by_key(pairs, term=None):
-    """``collect`` for rational functions, one ``RationalFunction.sum`` per key.
-
-    With ``term``, values are argument tuples of term, built one key at a time.
+    Keys keep the order of their first appearance.  A group of two or more
+    values is summed once by the ``sum`` of its values' class; a group of one
+    comes back unchanged.  With ``term``, values are argument tuples of term,
+    built one key at a time.
     """
     groups = {}
     for key, value in pairs:
         groups.setdefault(key, []).append(value)
-    sums = {
-        key: RationalFunction.sum((term(*v) for v in values) if term else values)
-        for key, values in groups.items()
-    }
-    return {key: total for key, total in sums.items() if total}
+    sums = {}
+    for key, values in groups.items():
+        if term:
+            values = [term(*v) for v in values]
+        first = values[0]
+        total = first if len(values) == 1 else type(first).sum(first.ctx, values)
+        if total:
+            sums[key] = total
+    return sums
 
 
-class LaurentPoly:
+class Immutable:
+    """Base of the immutable value classes: assigning any attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class LaurentPoly(Immutable):
     """Immutable exact polynomial; do not mutate .terms after construction."""
 
     __slots__ = ("ctx", "terms")
@@ -102,9 +105,6 @@ class LaurentPoly:
                 clean[key] = coeff
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -120,6 +120,16 @@ class LaurentPoly:
     @classmethod
     def one(cls, ctx):
         return cls.const(ctx, 1)
+
+    @classmethod
+    def sum(cls, ctx, values):
+        """The sum of a family over ctx, its terms added into one dict in one pass."""
+        out = {}
+        for value in values:
+            _check_ctx(ctx, value.ctx)
+            for key, coeff in value.terms.items():
+                out[key] = out.get(key, 0) + coeff
+        return cls(ctx, out)
 
     @classmethod
     def monomial(cls, ctx, xe=None, ye=None, ce=0, he=0, coeff=1):
@@ -174,17 +184,12 @@ class LaurentPoly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check_ctx(self, other):
-        """Raise on operands from different contexts, whose keys do not line up."""
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.ctx, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check_ctx(other)
+        _check_ctx(self.ctx, other.ctx)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, 0) + coeff
@@ -213,7 +218,7 @@ class LaurentPoly:
             return LaurentPoly(self.ctx, {k: v * other for k, v in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check_ctx(other)
+        _check_ctx(self.ctx, other.ctx)
         # Fraction-free: int products of the lcm-scaled operands, one division each.
         d1, left = _integral_terms(self.terms)
         d2, right = _integral_terms(other.terms)
@@ -248,6 +253,12 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({poly_to_text(self)})"
+
+
+def _check_ctx(ctx, other):
+    """Raise on operands from different contexts, whose keys do not line up."""
+    if ctx is not other and ctx != other:
+        raise ValueError(f"context mismatch: {ctx} vs {other}")
 
 
 def _integral_terms(terms):
@@ -317,7 +328,7 @@ def act_matrix(m, f):
     ctx = f.ctx
     columns = [linear_poly(ctx, [row[j] for row in m]) for j in range(ctx.n)]
     powers = {}
-    out = {}
+    pieces = []
     for (xe, ye, ce, he), coeff in f.terms.items():
         mxe = tuple(sum(a * e for a, e in zip(row, xe)) for row in m)
         piece = LaurentPoly(ctx, {(mxe, (0,) * ctx.n, ce, he): coeff})
@@ -326,9 +337,8 @@ def act_matrix(m, f):
                 if (j, e) not in powers:
                     powers[j, e] = columns[j] ** e
                 piece = piece * powers[j, e]
-        for key, c in piece.terms.items():
-            out[key] = out.get(key, 0) + c
-    return LaurentPoly(ctx, out)
+        pieces.append(piece)
+    return LaurentPoly.sum(ctx, pieces)
 
 
 def shift_y(f, lam):
@@ -543,7 +553,7 @@ def _times_forms(f, forms):
     return prod((form.to_poly(f.ctx) for form in forms), start=f)
 
 
-class RationalFunction:
+class RationalFunction(Immutable):
     """Numerator polynomial over a multiset of linear forms.
 
     Construction cancels every denominator factor that divides the numerator
@@ -596,9 +606,6 @@ class RationalFunction:
         object.__setattr__(out, "den", tuple(sorted(den)) if num else ())
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
     @classmethod
     def zero(cls, ctx):
         return cls(LaurentPoly.zero(ctx), ())
@@ -608,14 +615,13 @@ class RationalFunction:
         return cls(LaurentPoly.one(ctx), ())
 
     @classmethod
-    def sum(cls, values):
-        """The sum of a nonempty family, put over its union denominator once."""
+    def sum(cls, ctx, values):
+        """The sum of a family over ctx, put over its union denominator once."""
         values = list(values)
         counts = [Counter(value.den) for value in values]
-        union = reduce(or_, counts)
-        num = LaurentPoly.zero(values[0].ctx)
-        for value, count in zip(values, counts):
-            num = num + _times_forms(value.num, (union - count).elements())
+        union = reduce(or_, counts, Counter())
+        padded = (_times_forms(v.num, (union - c).elements()) for v, c in zip(values, counts))
+        num = LaurentPoly.sum(ctx, padded)
         tops = Counter(f for c in counts for f in c if c[f] == union[f])
         shared = Counter({f: union[f] for f in tops if tops[f] > 1})
         part = cls(num, shared.elements())
@@ -649,7 +655,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction.sum((self, other))
+        return RationalFunction.sum(self.ctx, (self, other))
 
     __radd__ = __add__
 
@@ -895,23 +901,16 @@ class _Parser:
         return out
 
     def parse_expr(self):
-        sign = 1
-        if self.peek() == "-":
-            self.pos += 1
-            sign = -1
-        elif self.peek() == "+":
-            self.pos += 1
-        out = self.parse_term() * sign
+        """Terms joined by + and -, the first optionally signed, summed once."""
+        terms = []
         while True:
             ch = self.peek()
-            if ch == "+":
+            if ch in ("+", "-"):
                 self.pos += 1
-                out = out + self.parse_term()
-            elif ch == "-":
-                self.pos += 1
-                out = out - self.parse_term()
-            else:
-                return out
+            elif terms:
+                return LaurentPoly.sum(self.ctx, terms)
+            term = self.parse_term()
+            terms.append(-term if ch == "-" else term)
 
     def parse(self):
         out = self.parse_expr()
@@ -924,3 +923,14 @@ class _Parser:
 def parse_poly(text, ctx):
     """Parse the canonical text form back into a polynomial."""
     return _Parser(text, ctx).parse()
+
+
+def parse_factor(text, ctx, start):
+    """Parse the factor of text at index start; returns (polynomial, end index).
+
+    A factor is a number, a variable power or a parenthesised expression.
+    Error positions count from the start of text.
+    """
+    parser = _Parser(text, ctx)
+    parser.pos = start
+    return parser.parse_factor(), parser.pos

@@ -18,7 +18,7 @@ later one loses the glued hyperplane).
 """
 
 from .ideals import IdealSpec, graded_dimension, membership
-from .poly import LaurentPoly, LinearForm, RationalFunction, poly_to_text
+from .poly import Immutable, LaurentPoly, LinearForm, RationalFunction, poly_to_text
 
 
 class NotInIdeal(ValueError):
@@ -29,7 +29,7 @@ class NotInIdeal(ValueError):
         self.witness = witness
 
 
-class EquivaluedModule:
+class EquivaluedModule(Immutable):
     """The graded module oplus_j I^(k+j) for a fixed valuation k >= 0."""
 
     __slots__ = ("roots", "k")
@@ -39,9 +39,6 @@ class EquivaluedModule:
             raise ValueError("valuation k must be a non-negative integer")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EquivaluedModule is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, EquivaluedModule):
@@ -65,7 +62,7 @@ class EquivaluedModule:
         return ModuleElt(self, j, value)
 
 
-class ModuleElt:
+class ModuleElt(Immutable):
     """A grade-j element: a polynomial lying in I^(k+j).
 
     Membership is verified at construction; the first failing Taylor
@@ -87,9 +84,6 @@ class ModuleElt:
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleElt is immutable")
 
     def __add__(self, other):
         if not isinstance(other, ModuleElt):
@@ -168,7 +162,7 @@ def module_slice_basis(mod, j, window):
     return graded_dimension(mod.ideal_spec(j), None, window)
 
 
-class ChainModel:
+class ChainModel(Immutable):
     """A chain of L projective spaces P^{d+1}, consecutive ones glued along P^d."""
 
     __slots__ = ("d", "length")
@@ -180,9 +174,6 @@ class ChainModel:
             raise ValueError("length must be a positive integer")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainModel is immutable")
 
     def __repr__(self):
         return f"ChainModel(d={self.d}, length={self.length})"

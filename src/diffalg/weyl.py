@@ -172,12 +172,14 @@ class RootData:
     def order(self):
         return len(self.elements)
 
-    def det(self, m):
-        return _mat_det(m)
-
     def act_matrix(self, m, f):
         """Group element as substitution: y_j -> sum_i m[i][j] y_i, x^e -> x^(m e)."""
         return act_matrix(m, f)
+
+    def twist(self, m, f, d):
+        """The translate of f by m, times det(m)^d."""
+        g = self.act_matrix(m, f)
+        return -g if d % 2 and _mat_det(m) < 0 else g
 
     def stabilizer_size(self, lam):
         return sum(1 for m in self.elements if _mat_vec(m, lam) == tuple(lam))
@@ -193,10 +195,5 @@ class RootData:
 
     def project(self, f, d):
         """Average of sign^d-twisted translates over the whole group."""
-        total = LaurentPoly.zero(f.ctx)
-        for m in self.elements:
-            g = self.act_matrix(m, f)
-            if d % 2 and _mat_det(m) < 0:
-                g = -g
-            total = total + g
+        total = LaurentPoly.sum(f.ctx, (self.twist(m, f, d) for m in self.elements))
         return total * Fraction(1, len(self.elements))

@@ -33,12 +33,12 @@ from math import factorial, prod
 from operator import add
 
 from .poly import (
+    Immutable,
     LaurentPoly,
     LinearForm,
     RationalFunction,
     VarContext,
     act_perm,
-    collect,
     linear_poly,
     poly_to_text,
     require_int,
@@ -111,7 +111,7 @@ class AbelianMatter:
         )
 
 
-class AbelianZElt:
+class AbelianZElt(Immutable):
     """Finite sum of dressed generators f(y) . i_r_j^lam with fixed tags."""
 
     __slots__ = ("matter", "i", "j", "terms")
@@ -129,9 +129,6 @@ class AbelianZElt:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AbelianZElt is immutable")
-
     def is_zero(self):
         return not self.terms
 
@@ -144,7 +141,7 @@ class AbelianZElt:
             raise TagMismatch(
                 f"cannot add tags ({self.i},{self.j}) and ({other.i},{other.j})"
             )
-        terms = collect(chain(self.terms.items(), other.terms.items()))
+        terms = sum_by_key(chain(self.terms.items(), other.terms.items()))
         return AbelianZElt(self.matter, self.i, self.j, terms)
 
     def __neg__(self):
@@ -259,7 +256,7 @@ def abelian_product(a, b):
                 coeff = coeff * matter.interval_factor(ell, max(p, r), max(p, q, r))
                 coeff = coeff * matter.interval_factor(ell, min(p, q, r), min(p, r))
             pairs.append((tuple(map(add, lam, mu)), coeff))
-    return AbelianZElt(matter, a.i, b.j, collect(pairs))
+    return AbelianZElt(matter, a.i, b.j, sum_by_key(pairs))
 
 
 def abelian_embed(a):
@@ -280,7 +277,7 @@ def abelian_embed(a):
             big_l = matter.weight(ell, lam)
             coeff = coeff * matter.interval_factor(ell, big_l + a.i, a.j)
         out[lam] = coeff
-    return collect(out.items())
+    return out
 
 
 def embed_compose(first, second):
@@ -290,7 +287,7 @@ def embed_compose(first, second):
     the result is (second o first), i.e. out[lam + mu] collects
     second_mu(y) * first_lam(y + h mu).
     """
-    return collect(
+    return sum_by_key(
         (tuple(map(add, lam, mu)), g * shift_y(f, mu))
         for lam, f in first.items()
         for mu, g in second.items()
@@ -300,7 +297,7 @@ def embed_compose(first, second):
 # -- nonabelian side -------------------------------------------------------
 
 
-class SphericalClass:
+class SphericalClass(Immutable):
     """Equivariant family of rational coefficients indexed by a coweight orbit.
 
     Such a family acts on symmetric polynomials by
@@ -324,9 +321,6 @@ class SphericalClass:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SphericalClass is immutable")
 
     def is_zero(self):
         return not self.terms
@@ -474,17 +468,12 @@ def class_commutative(lam, f, d, roots, normalization="reduced"):
         value = abs(roots.root_value(root, lam))
         if value < d:
             base = base * linear_poly(ctx, root) ** (d - value)
-    pairs = []
-    for m in roots.elements:
-        g = roots.act_matrix(m, base)
-        if d % 2 and roots.det(m) < 0:
-            g = -g
-        key = tuple(
-            sum(row[t] * lam[t] for t in range(roots.rank)) for row in m
-        )
-        pairs.append((key, g))
+    pairs = (
+        (tuple(sum(a * b for a, b in zip(row, lam)) for row in m), roots.twist(m, base, d))
+        for m in roots.elements
+    )
     scale = Fraction(1, roots.order())
-    out = {key: g * scale for key, g in collect(pairs).items()}
+    out = {key: g * scale for key, g in sum_by_key(pairs).items()}
     if normalization == "raw":
         bulk = roots.vandermonde(ctx) ** d
         out = {key: g * bulk for key, g in out.items()}
@@ -493,15 +482,14 @@ def class_commutative(lam, f, d, roots, normalization="reduced"):
 
 def class_to_poly(ctx, cls):
     """Flatten a class mapping (coweight -> coefficient) to sum coeff * x^lam."""
-    return sum(
-        (coeff * LaurentPoly.monomial(ctx, xe=lam) for lam, coeff in cls.items()),
-        LaurentPoly.zero(ctx),
+    return LaurentPoly.sum(
+        ctx, (coeff * LaurentPoly.monomial(ctx, xe=lam) for lam, coeff in cls.items())
     )
 
 
 def commutative_compose(a, b):
     """Product of commutative-limit classes: plain convolution of terms."""
-    return collect(
+    return sum_by_key(
         (tuple(map(add, lam, mu)), f * g) for lam, f in a.items() for mu, g in b.items()
     )
 
@@ -521,7 +509,7 @@ def commutative_limit(coeff):
 # -- coweight splitting and factorization ----------------------------------
 
 
-class CoweightSplit:
+class CoweightSplit(Immutable):
     """A coweight written as a sum of d balanced pieces."""
 
     __slots__ = ("lam", "d", "parts")
@@ -530,9 +518,6 @@ class CoweightSplit:
         object.__setattr__(self, "lam", tuple(lam))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "parts", tuple(tuple(p) for p in parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoweightSplit is immutable")
 
     def check(self):
         """Return a list of violated balance conditions (empty when valid)."""

@@ -271,6 +271,7 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
         (["verify", "abelian-zalg", "--matter-config"], "[1]", "malformed"),
         (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1.5, "characters": [[1]]}', "rank must be an integer"),
         (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1, "characters": [[1.5]]}', "entry must be an integer"),
+        (["verify", "abelian-zalg", "--matter-config"], "[]", "at least one record"),
     ],
     ids=[
         "root-data",
@@ -284,6 +285,7 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
         "not-a-record",
         "fractional-rank",
         "fractional-character",
+        "no-matter",
     ],
 )
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, matter, expect):
@@ -298,6 +300,15 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, matter, expect
     assert captured.err.count("\n") == 1
     assert expect in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_dims_rejects_a_large_window_before_building_the_group(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("the Weyl group was built")
+
+    monkeypatch.setattr(RootData, "type_a", staticmethod(refuse))
+    assert main(["dims", "--rank", "10", "--d", "1"]) == 2
+    assert capsys.readouterr().err == "error: window has 67584 monomials (cap 6000)\n"
 
 
 def test_python_dash_m_runs_the_cli_without_warnings():
@@ -337,3 +348,12 @@ def test_full_run_row_reduces_exact_scalars_only(monkeypatch):
     report = run_suite(CheckConfig("all", seed=0))
     assert report.all_pass(), [e for e in report.entries if e["status"] != "pass"]
     assert seen
+
+
+def test_seed_zero_report_is_pinned():
+    # the canonical report of the default run: a changed verdict, witness or
+    # entry order changes the digest
+    text = serialize(run_suite(CheckConfig("all", seed=0)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2c42e77abdb57ca766633651a5bfccd0ae76b1005cb8c6eec710773383e66b02"
+    )

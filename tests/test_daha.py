@@ -85,8 +85,21 @@ def test_word_parse_rejects_bad_input():
         parse_word("s2 y1", CTX2)  # only s1 exists at rank two
     with pytest.raises(ParseError):
         parse_word("q1", CTX2)
-    with pytest.raises(ParseError):
-        parse_word("s1 (y1 + ", CTX2)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("s1 (y1 + q)", "expected a number, variable, or '('", 10),
+        ("s1 (y1 y2)", "expected ')'", 8),
+        ("s1 (y1 + ", "expected a number, variable, or '('", 10),
+    ],
+)
+def test_word_scalar_errors_have_absolute_positions(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_word(text, CTX2)
+    assert info.value.position == position
+    assert str(info.value) == f"{message} (position {position})"
 
 
 def test_involution_word_evaluates_to_identity():

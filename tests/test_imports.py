@@ -107,3 +107,56 @@ def test_key_checker_flags_four_element_targets():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"], ids=lambda path: path.name)
 def test_term_keys_are_unpacked_only_in_poly(path):
     assert _four_element_targets(path.read_text()) == []
+
+
+def _pairwise_sums(source):
+    """Lines that sum by hand: ``name = name + ...`` inside a loop, or the
+    builtin ``sum`` with a start value."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            lines.update(
+                sub.lineno
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Assign)
+                and len(sub.targets) == 1
+                and isinstance(sub.targets[0], ast.Name)
+                and isinstance(sub.value, ast.BinOp)
+                and isinstance(sub.value.op, ast.Add)
+                and isinstance(sub.value.left, ast.Name)
+                and sub.value.left.id == sub.targets[0].id
+            )
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+            and (len(node.args) > 1 or any(kw.arg == "start" for kw in node.keywords))
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_sum_checker_flags_hand_written_sums():
+    source = (
+        "out = out + a\n"
+        "for p in ps:\n"
+        "    if p:\n"
+        "        out = out + p\n"
+        "    out = out - p\n"
+        "    out = p + out\n"
+        "    out += p\n"
+        "    terms[k] = terms[k] + p\n"
+        "while out:\n"
+        "    total = total + out.pop()\n"
+        "n = sum(ps, zero)\n"
+        "n = sum(ps, start=zero)\n"
+        "n = sum(p for p in ps)\n"
+        "n = LaurentPoly.sum(ctx, ps)\n"
+    )
+    assert _pairwise_sums(source) == [4, 10, 11, 12]
+
+
+# Polynomials are summed by LaurentPoly.sum, RationalFunction.sum or sum_by_key.
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_sums_go_through_the_summation_route(path):
+    assert _pairwise_sums(path.read_text()) == []

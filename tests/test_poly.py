@@ -26,8 +26,10 @@ from diffalg.poly import (
     term_degree,
 )
 from diffalg.daha import DiffReflOp
-from diffalg.ideals import span_dimension
+from diffalg.ideals import GradedSlice, IdealSpec, PlaneSubset, Window, span_dimension
+from diffalg.springer import ChainModel, EquivaluedModule
 from diffalg.weyl import RootData
+from diffalg.zalg import AbelianMatter, class_localized, r_generator, split_coweight
 
 CTX2 = VarContext(2)
 CTX3 = VarContext(3)
@@ -152,6 +154,28 @@ def test_mixed_contexts_are_rejected():
             combine()
     # equal contexts built separately still combine
     assert a * LaurentPoly.x(VarContext(2), 1) == x(0) * x(1)
+
+
+def test_sum_adds_a_family_in_one_pass():
+    family = [x(0), 2 * y(1), -x(0), LaurentPoly.c(CTX2), x(0)]
+    assert LaurentPoly.sum(CTX2, family) == x(0) + 2 * y(1) + LaurentPoly.c(CTX2)
+    assert LaurentPoly.sum(CTX2, []) == LaurentPoly.zero(CTX2)
+    assert RationalFunction.sum(CTX2, []) == RationalFunction.zero(CTX2)
+    with pytest.raises(ValueError, match="context mismatch"):
+        LaurentPoly.sum(CTX2, [x(0), LaurentPoly.x(VarContext(3), 2)])
+    with pytest.raises(ValueError, match="context mismatch"):
+        RationalFunction.sum(CTX2, [RationalFunction.one(CTX3)])
+
+
+def test_sum_by_key_sums_each_group_once_by_its_class():
+    f = RationalFunction(x(0), [LinearForm(0, 1)])
+    p = y(0)
+    out = poly.sum_by_key([("a", p), ("b", f), ("a", -p), ("c", p), ("b", f)])
+    assert list(out) == ["b", "c"]
+    assert out["b"] == f * 2
+    assert out["c"] is p  # a group of one comes back unchanged
+    pairs = [("k", (1, 2)), ("k", (3, 4))]
+    assert poly.sum_by_key(pairs, lambda a, b: a * x(0) + b) == {"k": 4 * x(0) + 6}
 
 
 def test_binomial_power():
@@ -640,7 +664,7 @@ def test_fast_paths_agree_with_the_full_constructor():
         for f in fs:
             padding = [form.to_poly(CTX2) for form in (union - Counter(f.den)).elements()]
             num = num + f.num * prod(padding, start=LaurentPoly.one(CTX2))
-        assert RationalFunction.sum(fs) == RationalFunction(num, list(union.elements()))
+        assert RationalFunction.sum(CTX2, fs) == RationalFunction(num, list(union.elements()))
         for f in fs:
             num, den = act((w, lam), f.num), []
             for form in f.den:
@@ -693,11 +717,11 @@ def test_automorphisms_and_unshared_forms_skip_cancellation(monkeypatch):
     monkeypatch.setattr(poly, "exact_divide", counting)
     f.act(((1, 0), (1, -1)))
     f.subst_c(c_sign=-1, c_to_h=2)
-    RationalFunction.sum([f, g, RationalFunction(y(0))])
+    RationalFunction.sum(CTX2, [f, g, RationalFunction(y(0))])
     f + g
     assert calls == []
     # only the form that two summands carry at the union's multiplicity is tried
-    RationalFunction.sum([f, other, g])
+    RationalFunction.sum(CTX2, [f, other, g])
     assert calls == [shared]
 
 
@@ -735,3 +759,29 @@ def test_taylor_pair_clears_laurent_denominators():
     # x1^(-1)(x1 - x2) is a unit times (x1 - x2) at the diagonal: order 1
     assert not coeffs[(0, 0)]
     assert coeffs[(1, 0)]
+
+
+IMMUTABLE_VALUES = {
+    "LaurentPoly": lambda: LaurentPoly.one(CTX2),
+    "RationalFunction": lambda: RationalFunction.one(CTX2),
+    "DiffReflOp": lambda: DiffReflOp.identity(CTX2),
+    "AbelianZElt": lambda: r_generator(AbelianMatter(1, [[1]]), 0, 0, (1,)),
+    "SphericalClass": lambda: class_localized((1, 0), 1, 0, 0),
+    "CoweightSplit": lambda: split_coweight((2, 0), 2),
+    "PlaneSubset": lambda: PlaneSubset([(0, 0)]),
+    "IdealSpec": lambda: IdealSpec(RootData.type_a(2), 1),
+    "Window": lambda: Window(0, 1, 1),
+    "GradedSlice": lambda: GradedSlice([], []),
+    "EquivaluedModule": lambda: EquivaluedModule(RootData.type_a(2), 0),
+    "ModuleElt": lambda: EquivaluedModule(RootData.type_a(2), 0).element(0, LaurentPoly.one(CTX2)),
+    "ChainModel": lambda: ChainModel(1, 2),
+}
+
+
+@pytest.mark.parametrize("name", IMMUTABLE_VALUES)
+def test_value_classes_are_immutable(name):
+    value = IMMUTABLE_VALUES[name]()
+    assert type(value).__name__ == name
+    for attr in (type(value).__slots__[0], "extra"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, attr, None)
