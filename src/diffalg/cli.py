@@ -87,6 +87,12 @@ class InvalidRank(ValueError):
     """The configured rank is not a positive integer."""
 
 
+def _require_rank(rank):
+    """Raise InvalidRank unless rank is a positive integer."""
+    if not isinstance(rank, int) or rank < 1:
+        raise InvalidRank(f"rank must be a positive integer, got {rank!r}")
+
+
 class UnknownSuite(ValueError):
     """The requested suite name is not registered."""
 
@@ -121,8 +127,7 @@ class CheckConfig:
         budget=600.0,
         matter=None,
     ):
-        if not isinstance(rank, int) or rank < 1:
-            raise InvalidRank(f"rank must be a positive integer, got {rank!r}")
+        _require_rank(rank)
         for name, value in (("d_max", d_max), ("y_max", y_max)):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
@@ -732,6 +737,7 @@ def _cmd_verify(args):
 
 
 def _cmd_dims(args):
+    _require_rank(args.rank)
     window = Window(args.xmin, args.xmax, args.ymax)
     window.check_size(args.rank)
     if args.kind == "A":

@@ -6,11 +6,21 @@ of coefficients goes through ``scalar_div``.  A polynomial lives in variables
 x1..xn (Laurent, integer exponents of either sign), y1..yn (ordinary,
 nonnegative exponents), and two central parameters c and h.
 
-A term is stored under a key holding its x-, y-, c- and h-exponents.  The
-key layout is private to this module; elsewhere keys are opaque, built by
-``monomial_key`` and read by ``term_degree``.  The canonical form never
-stores a zero coefficient, and the canonical term order is descending
-lexicographic on (y-exponents, x-exponents, c-exponent, h-exponent).
+A term is stored under a key that packs its exponents into one int of 2n+2
+fields of 16 bits.  From the top down the fields hold y1..yn, x1..xn, c and
+h, so keys compare as ints the way (y-exponents, x-exponents, c-exponent,
+h-exponent) compare as tuples, and a product key is ``k1 + k2 - one`` with
+``one`` the key of the monomial 1.  A y, c or h exponent is stored as it is
+and ranges over 0..32767; an x exponent e is stored as e + 16384 and ranges
+over -16384..16383.  The top bit of each field is a guard that no valid key
+sets: a sum of two valid fields that leaves its range sets it (one that
+drops below 0 borrows from the field above and sets it too), and an
+exponent outside its range raises ValueError, be it given to
+``monomial_key`` or made by a product, a power or a substitution.  The
+layout is private to this module; elsewhere keys are opaque, built by
+``monomial_key`` and read by ``key_exponents`` and ``term_degree``.  The
+canonical form never stores a zero coefficient, and the canonical term
+order is descending on the key.
 
 Rational functions keep a factored denominator: a multiset of linear forms
 y_r - y_s + a*h + b*c with r < s.  Any sign flip needed to normalise a form
@@ -22,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import comb, lcm, prod
-from operator import add, or_
+from operator import mul, or_
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,8 @@ def require_int(value, name):
 
 def scalar_div(a, b):
     """The exact quotient a / b; raises ZeroDivisionError when b is 0."""
+    if type(a) is int and type(b) is int and b and not a % b:
+        return a // b
     return _as_scalar(Fraction(a, b))
 
 
@@ -106,16 +118,24 @@ class LaurentPoly(Immutable):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, ctx, terms):
+        """The polynomial that takes over terms, whose coefficients are canonical and nonzero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ctx", ctx)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, {})
+        return cls._make(ctx, {})
 
     @classmethod
     def const(cls, ctx, value):
-        zero = (0,) * ctx.n
-        return cls(ctx, {(zero, zero, 0, 0): _as_scalar(value)})
+        value = _as_scalar(value)
+        return cls._make(ctx, {_layout(ctx.n).one: value} if value else {})
 
     @classmethod
     def one(cls, ctx):
@@ -123,25 +143,31 @@ class LaurentPoly(Immutable):
 
     @classmethod
     def sum(cls, ctx, values):
-        """The sum of a family over ctx, its terms added into one dict in one pass."""
-        out = {}
+        """The sum of a family over ctx, its terms added into one dict in one pass.
+
+        Fraction-free: each summand is scaled by the lcm of all coefficient
+        denominators, and each output coefficient is divided once.
+        """
+        parts = []
         for value in values:
             _check_ctx(ctx, value.ctx)
-            for key, coeff in value.terms.items():
-                out[key] = out.get(key, 0) + coeff
-        return cls(ctx, out)
+            parts.append(_integral_terms(value.terms))
+        d = lcm(*(di for di, _ in parts))
+        out = {}
+        for di, items in parts:
+            scale = d // di
+            for key, coeff in items:
+                out[key] = out.get(key, 0) + coeff * scale
+        return _from_ints(ctx, out, d)
 
     @classmethod
     def monomial(cls, ctx, xe=None, ye=None, ce=0, he=0, coeff=1):
-        xe = tuple(xe) if xe is not None else (0,) * ctx.n
-        ye = tuple(ye) if ye is not None else (0,) * ctx.n
-        for e in (*xe, *ye, ce, he):
-            require_int(e, "an exponent")
-        if len(xe) != ctx.n or len(ye) != ctx.n:
+        zero = (0,) * ctx.n
+        xe = zero if xe is None else tuple(xe)
+        ye = zero if ye is None else tuple(ye)
+        if len(xe) != ctx.n:
             raise ValueError("exponent vector length mismatch")
-        if any(e < 0 for e in ye) or ce < 0 or he < 0:
-            raise ValueError("y, c and h exponents must be nonnegative")
-        return cls(ctx, {(xe, ye, ce, he): coeff})
+        return cls(ctx, {monomial_key(xe, ye, ce, he): coeff})
 
     @classmethod
     def x(cls, ctx, i, power=1):
@@ -175,12 +201,11 @@ class LaurentPoly(Immutable):
         return hash((self.ctx, frozenset(self.terms.items())))
 
     def is_constant(self):
-        zero = (0,) * self.ctx.n
-        return all(k == (zero, zero, 0, 0) for k in self.terms)
+        one = _layout(self.ctx.n).one
+        return all(k == one for k in self.terms)
 
     def constant_value(self):
-        zero = (0,) * self.ctx.n
-        return self.terms.get((zero, zero, 0, 0), 0)
+        return self.terms.get(_layout(self.ctx.n).one, 0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -189,16 +214,12 @@ class LaurentPoly(Immutable):
             other = LaurentPoly.const(self.ctx, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        _check_ctx(self.ctx, other.ctx)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return LaurentPoly(self.ctx, out)
+        return LaurentPoly.sum(self.ctx, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.ctx, {k: -v for k, v in self.terms.items()})
+        return LaurentPoly._make(self.ctx, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -222,19 +243,15 @@ class LaurentPoly(Immutable):
         # Fraction-free: int products of the lcm-scaled operands, one division each.
         d1, left = _integral_terms(self.terms)
         d2, right = _integral_terms(other.terms)
+        one = _layout(self.ctx.n).one
         out = {}
-        for (xe1, ye1, ce1, he1), c1 in left:
-            for (xe2, ye2, ce2, he2), c2 in right:
-                key = (
-                    tuple(map(add, xe1, xe2)),
-                    tuple(map(add, ye1, ye2)),
-                    ce1 + ce2,
-                    he1 + he2,
-                )
-                out[key] = out.get(key, 0) + c1 * c2
-        if d1 * d2 != 1:
-            out = {key: scalar_div(coeff, d1 * d2) for key, coeff in out.items()}
-        return LaurentPoly(self.ctx, out)
+        get = out.get
+        for k1, c1 in left:
+            k1 -= one
+            for k2, c2 in right:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        return _from_ints(self.ctx, out, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -243,12 +260,13 @@ class LaurentPoly(Immutable):
             raise ValueError("exponent must be a nonnegative integer")
         result = LaurentPoly.one(self.ctx)
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base
-            e >>= 1
+            exponent >>= 1
+            if exponent:
+                # no square past the top bit: it is unused, and may leave the fields
+                base = base * base
         return result
 
     def __repr__(self):
@@ -269,6 +287,20 @@ def _integral_terms(terms):
     return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
 
 
+def _from_ints(ctx, out, d):
+    """The polynomial of the int-valued terms out divided by d; takes over out.
+
+    Raises ValueError when a key of out has an exponent outside its field.
+    """
+    if reduce(or_, out, 0) & _layout(ctx.n).guard:
+        raise ValueError(_RANGE_ERROR)
+    if d != 1:
+        out = {key: scalar_div(coeff, d) for key, coeff in out.items() if coeff}
+    elif 0 in out.values():
+        out = {key: coeff for key, coeff in out.items() if coeff}
+    return LaurentPoly._make(ctx, out)
+
+
 def _unit_exponents(ctx, i, power):
     """The exponent vector with power at index i; raises on i outside 0..n-1."""
     if not 0 <= i < ctx.n:
@@ -278,27 +310,82 @@ def _unit_exponents(ctx, i, power):
     return exps
 
 
-def monomial_key(xe, ye):
-    """The term key of the monomial x^xe y^ye, free of c and h."""
-    return (tuple(xe), tuple(ye), 0, 0)
+# -- packed term keys ----------------------------------------------------
+
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+_GUARD = 1 << (_WIDTH - 1)
+_X_BIAS = 1 << (_WIDTH - 2)
+_C_SHIFT = _WIDTH  # the h field is the lowest, at shift 0
+_CH_FIELDS = (1 << (2 * _WIDTH)) - 1
+_RANGE_ERROR = (
+    f"exponent outside its packed field: x exponents must lie in "
+    f"{-_X_BIAS}..{_X_BIAS - 1}, y, c and h exponents in 0..{_GUARD - 1}"
+)
 
 
-def term_degree(key):
+class _Layout:
+    """Field shifts of the packed keys at rank n, the key of 1 and the guard bits."""
+
+    __slots__ = ("xs", "ys", "one", "guard")
+
+    def __init__(self, n):
+        self.xs = tuple(_WIDTH * (n + 1 - i) for i in range(n))
+        self.ys = tuple(_WIDTH * (2 * n + 1 - i) for i in range(n))
+        self.one = sum(_X_BIAS << shift for shift in self.xs)
+        self.guard = sum(_GUARD << (_WIDTH * k) for k in range(2 * n + 2))
+
+
+_layout = cache(_Layout)  # one layout per rank, built on first use
+
+
+def monomial_key(xe, ye, ce=0, he=0):
+    """The term key of the monomial x^xe y^ye c^ce h^he.
+
+    Raises ValueError on an exponent that is not an integer, on vectors of
+    different lengths, on a negative y, c or h exponent, and on an exponent
+    outside its packed field.
+    """
+    for e in (*xe, *ye, ce, he):
+        require_int(e, "an exponent")
+    if len(xe) != len(ye):
+        raise ValueError("exponent vector length mismatch")
+    if any(e < 0 for e in ye) or ce < 0 or he < 0:
+        raise ValueError("y, c and h exponents must be nonnegative")
+    if any(not -_X_BIAS <= e < _X_BIAS for e in xe) or max(*ye, ce, he) >= _GUARD:
+        raise ValueError(_RANGE_ERROR)
+    layout = _layout(len(xe))
+    key = layout.one + (ce << _C_SHIFT) + he
+    for shift, e in zip(layout.xs + layout.ys, (*xe, *ye)):
+        key += e << shift
+    return key
+
+
+def key_exponents(ctx, key):
+    """The exponents (xe, ye, ce, he) of a term key over ctx."""
+    layout = _layout(ctx.n)
+    return (
+        tuple([(key >> shift & _FIELD) - _X_BIAS for shift in layout.xs]),
+        tuple([key >> shift & _FIELD for shift in layout.ys]),
+        key >> _C_SHIFT & _FIELD,
+        key & _FIELD,
+    )
+
+
+def term_degree(ctx, key):
     """Total degree of a term in y, c and h; x, a unit, does not count."""
-    return sum(key[1]) + key[2] + key[3]
+    _, ye, ce, he = key_exponents(ctx, key)
+    return sum(ye) + ce + he
 
 
 def linear_poly(ctx, ys, h=0, c=0):
     """The linear polynomial sum_i ys[i]*y_i + h*h + c*c."""
     if len(ys) != ctx.n:
         raise ValueError("coefficient vector length mismatch")
-    zero = (0,) * ctx.n
-    terms = {
-        (zero, zero[:i] + (1,) + zero[i + 1 :], 0, 0): coeff
-        for i, coeff in enumerate(ys)
-    }
-    terms[(zero, zero, 0, 1)] = h
-    terms[(zero, zero, 1, 0)] = c
+    layout = _layout(ctx.n)
+    terms = {layout.one + (1 << shift): coeff for shift, coeff in zip(layout.ys, ys)}
+    terms[layout.one + 1] = h
+    terms[layout.one + (1 << _C_SHIFT)] = c
     return LaurentPoly(ctx, terms)
 
 
@@ -311,28 +398,41 @@ def act_perm(w, f):
     w is a tuple of images, 0-indexed: position j maps to w[j].  On exponent
     vectors this transports e to e' with e'_{w(j)} = e_j.
     """
-    n = f.ctx.n
+    layout = _layout(f.ctx.n)
+    moves = [
+        (shifts[j], shifts[image])
+        for shifts in (layout.xs, layout.ys)
+        for j, image in enumerate(w)
+        if image != j
+    ]
+    keep = ~sum(_FIELD << src for src, _ in moves)
     out = {}
-    for (xe, ye, ce, he), coeff in f.terms.items():
-        nxe = [0] * n
-        nye = [0] * n
-        for j in range(n):
-            nxe[w[j]] = xe[j]
-            nye[w[j]] = ye[j]
-        out[(tuple(nxe), tuple(nye), ce, he)] = coeff
-    return LaurentPoly(f.ctx, out)
+    for key, coeff in f.terms.items():
+        moved = key & keep
+        for src, dst in moves:
+            moved |= (key >> src & _FIELD) << dst
+        out[moved] = coeff
+    return LaurentPoly._make(f.ctx, out)
 
 
 def act_matrix(m, f):
     """Integer matrix as substitution: y_j -> sum_i m[i][j] y_i, x^e -> x^(m e)."""
     ctx = f.ctx
+    layout = _layout(ctx.n)
     columns = [linear_poly(ctx, [row[j] for row in m]) for j in range(ctx.n)]
     powers = {}
     pieces = []
-    for (xe, ye, ce, he), coeff in f.terms.items():
-        mxe = tuple(sum(a * e for a, e in zip(row, xe)) for row in m)
-        piece = LaurentPoly(ctx, {(mxe, (0,) * ctx.n, ce, he): coeff})
-        for j, e in enumerate(ye):
+    for key, coeff in f.terms.items():
+        xe = [(key >> shift & _FIELD) - _X_BIAS for shift in layout.xs]
+        moved = layout.one + (key & _CH_FIELDS)
+        for shift, row in zip(layout.xs, m):
+            image = sum(map(mul, row, xe))
+            if not -_X_BIAS <= image < _X_BIAS:
+                raise ValueError(_RANGE_ERROR)
+            moved += image << shift
+        piece = LaurentPoly._make(ctx, {moved: coeff})
+        for j, shift in enumerate(layout.ys):
+            e = key >> shift & _FIELD
             if e:
                 if (j, e) not in powers:
                     powers[j, e] = columns[j] ** e
@@ -345,27 +445,28 @@ def shift_y(f, lam):
     """Substitute y_i -> y_i + h * lam_i (x variables untouched)."""
     if not any(lam):
         return f
+    steps = [(shift, step) for shift, step in zip(_layout(f.ctx.n).ys, lam) if step]
+    d, items = _integral_terms(f.terms)
     out = {}
-    for (xe, ye, ce, he), coeff in f.terms.items():
-        expanded = [(coeff, ye, he)]
-        for i, step in enumerate(lam):
-            if step == 0:
-                continue
+    for key, coeff in items:
+        expanded = [(key, coeff)]
+        for shift, step in steps:
             nxt = []
-            for cur_coeff, cur_ye, cur_he in expanded:
-                k = cur_ye[i]
-                if k == 0:
-                    nxt.append((cur_coeff, cur_ye, cur_he))
+            for cur, cur_coeff in expanded:
+                k = cur >> shift & _FIELD
+                if not k:
+                    nxt.append((cur, cur_coeff))
                     continue
+                # y_i^k -> sum_b C(k, b) * y_i^b * (step * h)^(k - b), from y_i^0 h^k up
+                base = cur - (k << shift) + k
+                if base & _GUARD:
+                    raise ValueError(_RANGE_ERROR)
                 for b in range(k + 1):
-                    scale = comb(k, b) * step ** (k - b)
-                    nye = cur_ye[:i] + (b,) + cur_ye[i + 1 :]
-                    nxt.append((cur_coeff * scale, nye, cur_he + (k - b)))
+                    nxt.append((base + (b << shift) - b, cur_coeff * comb(k, b) * step ** (k - b)))
             expanded = nxt
-        for cur_coeff, cur_ye, cur_he in expanded:
-            key = (xe, cur_ye, ce, cur_he)
-            out[key] = out.get(key, 0) + cur_coeff
-    return LaurentPoly(f.ctx, out)
+        for cur, cur_coeff in expanded:
+            out[cur] = out.get(cur, 0) + cur_coeff
+    return _from_ints(f.ctx, out, d)
 
 
 def act(g, f):
@@ -382,18 +483,20 @@ def act(g, f):
 
 def subst_params(f, c_sign=1, c_to_h=0, h_sign=1):
     """Substitute c -> c_sign*c + c_to_h*h and h -> h_sign*h."""
+    d, items = _integral_terms(f.terms)
     out = {}
-    for (xe, ye, ce, he), coeff in f.terms.items():
-        base_coeff = coeff * h_sign**he
+    for key, coeff in items:
+        ce = key >> _C_SHIFT & _FIELD
+        coeff *= h_sign ** (key & _FIELD)
         if ce == 0 or c_to_h == 0:
-            key = (xe, ye, ce, he)
-            out[key] = out.get(key, 0) + base_coeff * c_sign**ce
+            out[key] = out.get(key, 0) + coeff * c_sign**ce
             continue
+        base = key - (ce << _C_SHIFT) + ce  # c^0 h^(he + ce)
         for k in range(ce + 1):
             scale = comb(ce, k) * c_sign**k * c_to_h ** (ce - k)
-            key = (xe, ye, k, he + ce - k)
-            out[key] = out.get(key, 0) + base_coeff * scale
-    return LaurentPoly(f.ctx, out)
+            key = base + (k << _C_SHIFT) - k
+            out[key] = out.get(key, 0) + coeff * scale
+    return _from_ints(f.ctx, out, d)
 
 
 def perm_sign(w):
@@ -461,12 +564,18 @@ _CERT_PRIME = 2**61 - 1
 _CERT_BASE = 0x9E3779B97F4A7C15
 
 
-def _power_product(values, exponents, p):
-    out = 1
-    for v, e in zip(values, exponents):
-        if e:
-            out = out * pow(v, e, p) % p
-    return out
+# The certificate memo of a rank is cleared when it reaches this many entries.
+_CERT_MEMO_CAP = 1 << 14
+
+
+@cache
+def _cert_memo(n):
+    """Residues at the certificate's base point of rank n, memoised per monomial.
+
+    A key with its y_r field cleared maps to the residue of its monomial.
+    Only y_r moves with the form, so an entry serves every form and call.
+    """
+    return {}
 
 
 def _vanishes_mod_p(f, form):
@@ -476,24 +585,33 @@ def _vanishes_mod_p(f, form):
     y_r = y_s - a*h - b*c.  True means the residue is 0, or that a
     coefficient denominator is divisible by the prime, so there is none.
     Numerators are summed per denominator, so each distinct denominator is
-    inverted once, and the x/c/h and y parts of each monomial are computed
-    once per distinct exponent vector.
+    inverted once.  A monomial's residue is the memoised residue of its
+    other variables times the power of the moved y_r.  As coordinate k is
+    _CERT_BASE ** (k + 1), a monomial with exponents e_k has the residue
+    _CERT_BASE ** sum((k + 1) * e_k).
     """
-    p = _CERT_PRIME
+    p, base = _CERT_PRIME, _CERT_BASE
     n = f.ctx.n
-    point = [pow(_CERT_BASE, k, p) for k in range(1, 2 * n + 3)]
-    rest, ys = point[:n] + point[2 * n :], point[n : 2 * n]
-    ys[form.r] = (ys[form.s] - form.a * point[2 * n + 1] - form.b * point[2 * n]) % p
-    rest_part, y_part, by_den = {}, {}, {}
-    for (xe, ye, ce, he), coeff in f.terms.items():
+    memo = _cert_memo(n)
+    if len(memo) >= _CERT_MEMO_CAP:
+        memo.clear()
+    c, h = pow(base, 2 * n + 1, p), pow(base, 2 * n + 2, p)
+    y_r = (pow(base, n + form.s + 1, p) - form.a * h - form.b * c) % p
+    shift_r = _layout(n).ys[form.r]
+    others = ~(_FIELD << shift_r)
+    y_r_powers, by_den = {}, {}
+    for key, coeff in f.terms.items():
         num, den = coeff.as_integer_ratio()
-        key = (xe, ce, he)
-        rv = rest_part.get(key)
+        fixed = key & others
+        rv = memo.get(fixed)
         if rv is None:
-            rv = rest_part[key] = _power_product(rest, xe + (ce, he), p)
-        yv = y_part.get(ye)
+            xe, ye, ce, he = key_exponents(f.ctx, fixed)
+            weight = sum(k * e for k, e in enumerate(xe + ye + (ce, he), 1))
+            rv = memo[fixed] = pow(base, weight, p)
+        e = key >> shift_r & _FIELD
+        yv = y_r_powers.get(e)
         if yv is None:
-            yv = y_part[ye] = _power_product(ys, ye, p)
+            yv = y_r_powers[e] = pow(y_r, e, p)
         by_den[den] = by_den.get(den, 0) + num * rv * yv
     total = 0
     for den, num in by_den.items():
@@ -524,29 +642,28 @@ def exact_divide(f, form):
         return f
     if not _vanishes_mod_p(f, form):
         return None
-    r, s, a, b = form.r, form.s, form.a, form.b
+    layout = _layout(f.ctx.n)
+    shift_r = layout.ys[form.r]
+    moves = ((1 << layout.ys[form.s], 1), (1, -form.a), (1 << _C_SHIFT, -form.b))
+    d, items = _integral_terms(f.terms)
     by_degree = {}
-    for key, coeff in f.terms.items():
-        by_degree.setdefault(key[1][r], {})[key] = coeff
+    for key, coeff in items:
+        by_degree.setdefault(key >> shift_r & _FIELD, {})[key] = coeff
     quotient = {}
     for k in range(max(by_degree), 0, -1):
         lower = by_degree.setdefault(k - 1, {})
-        for (xe, ye, ce, he), coeff in by_degree.get(k, {}).items():
+        for key, coeff in by_degree.get(k, {}).items():
             if not coeff:
                 continue
-            ye = ye[:r] + (k - 1,) + ye[r + 1 :]
-            quotient[(xe, ye, ce, he)] = coeff
+            key -= 1 << shift_r
+            quotient[key] = coeff
             # coeff * y_r^k = coeff * y_r^(k-1) * (form + y_s - a*h - b*c)
-            for key, step in (
-                ((xe, ye[:s] + (ye[s] + 1,) + ye[s + 1 :], ce, he), coeff),
-                ((xe, ye, ce, he + 1), -a * coeff),
-                ((xe, ye, ce + 1, he), -b * coeff),
-            ):
-                if step:
-                    lower[key] = lower.get(key, 0) + step
+            for move, scale in moves:
+                if scale:
+                    lower[key + move] = lower.get(key + move, 0) + scale * coeff
     if any(by_degree[0].values()):
         return None
-    return LaurentPoly(f.ctx, quotient)
+    return _from_ints(f.ctx, quotient, d)
 
 
 def _times_forms(f, forms):
@@ -740,43 +857,41 @@ def taylor_pair(f, pair, order):
     }
     if not f.terms:
         return out
-    clear = max(0, -min(xe[i] for xe, _, _, _ in f.terms))
-    acc = {key: dict() for key in out}
-    for (xe, ye, ce, he), coeff in f.terms.items():
-        ei = xe[i] + clear
-        fi = ye[i]
-        for a in range(min(ei, order - 1) + 1):
-            ca = comb(ei, a)
-            for b in range(min(fi, order - 1 - a) + 1):
-                scale = coeff * ca * comb(fi, b)
-                nxe = list(xe)
-                nxe[i] = 0
-                nxe[j] += ei - a
-                nye = list(ye)
-                nye[i] = 0
-                nye[j] += fi - b
-                key = (tuple(nxe), tuple(nye), ce, he)
-                bucket = acc[(a, b)]
-                bucket[key] = bucket.get(key, 0) + scale
-    for key, bucket in acc.items():
-        out[key] = LaurentPoly(f.ctx, bucket)
+    layout = _layout(f.ctx.n)
+    xi, xj, yi, yj = layout.xs[i], layout.xs[j], layout.ys[i], layout.ys[j]
+    clear = max(0, _X_BIAS - min(key >> xi & _FIELD for key in f.terms))
+    d, items = _integral_terms(f.terms)
+    acc = [[{} for b in range(order - a)] for a in range(order)]
+    binomials = {}  # e -> [comb(e, a) for a < order]
+    for key, coeff in items:
+        ei = (key >> xi & _FIELD) - _X_BIAS + clear
+        fi = key >> yi & _FIELD
+        for e in (ei, fi):
+            if e not in binomials:
+                binomials[e] = [comb(e, a) for a in range(order)]
+        # x_i^ei y_i^fi -> x_j^(ei - a) y_j^(fi - b) u^a v^b
+        base = key - ((ei - clear) << xi) - (fi << yi) + (ei << xj) + (fi << yj)
+        for a, (buckets, ca) in enumerate(zip(acc[: ei + 1], binomials[ei])):
+            scale = coeff * ca
+            base_a = base - (a << xj)
+            for b, (bucket, cb) in enumerate(zip(buckets[: fi + 1], binomials[fi])):
+                moved = base_a - (b << yj)
+                bucket[moved] = bucket.get(moved, 0) + scale * cb
+    for a, buckets in enumerate(acc):
+        for b, bucket in enumerate(buckets):
+            out[a, b] = _from_ints(f.ctx, bucket, d)
     return out
 
 
 # -- text form ------------------------------------------------------------
 
 
-def _term_sort_key(key):
-    xe, ye, ce, he = key
-    return (ye, xe, ce, he)
-
-
 def poly_to_text(f):
     if not f.terms:
         return "0"
     pieces = []
-    for key in sorted(f.terms, key=_term_sort_key, reverse=True):
-        xe, ye, ce, he = key
+    for key in sorted(f.terms, reverse=True):
+        xe, ye, ce, he = key_exponents(f.ctx, key)
         coeff = f.terms[key]
         factors = []
         for idx, e in enumerate(ye):

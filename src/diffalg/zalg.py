@@ -195,7 +195,7 @@ class AbelianZElt(Immutable):
                 for ell in range(len(self.matter.characters))
             )
             for key in f.terms:
-                degrees.add(base + 2 * term_degree(key))
+                degrees.add(base + 2 * term_degree(f.ctx, key))
         if not degrees:
             return 0
         if len(degrees) > 1:

@@ -262,6 +262,8 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
     [
         (["dims", "--kind", "B2", "--rank", "2", "--d", "1"], None, "B2"),
         (["dims", "--rank", "3", "--d", "1", "--xmax", "4", "--ymax", "6"], None, "10500"),
+        (["dims", "--rank", "0", "--d", "1"], None, "rank must be a positive integer, got 0"),
+        (["dims", "--rank", "-1", "--d", "1"], None, "rank must be a positive integer, got -1"),
         (["eval", "--expr", "s5 q", "--rank", "2"], None, "position"),
         (["verify", "chain-example", "--budget", "0"], None, "budget"),
         (["verify", "splitting", "--budget", "nan"], None, "finite"),
@@ -276,6 +278,8 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
     ids=[
         "root-data",
         "window",
+        "dims-rank-0",
+        "dims-rank-negative",
         "parse",
         "budget",
         "budget-nan",

@@ -59,7 +59,7 @@ def test_coefficients_stay_exact():
 
 def test_float_coefficients_are_rejected():
     p = x(0) + y(1)
-    key = ((0, 0), (0, 0), 0, 0)
+    key = monomial_key((0, 0), (0, 0))
     rf = RationalFunction(p, [LinearForm(0, 1)])
     for make in (
         lambda: LaurentPoly.const(CTX2, 0.5),
@@ -102,6 +102,30 @@ def test_monomial_rejects_non_integer_exponents():
         lambda: LaurentPoly.monomial(CTX2, he=Fraction(2)),
     ):
         with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+
+def test_exponents_outside_their_packed_field_raise():
+    ctx1 = VarContext(1)
+    # the extreme exponents still fit and round-trip through the text form
+    edge = LaurentPoly.monomial(CTX2, xe=(-16384, 16383), ye=(32767, 0), ce=32767, he=32767)
+    assert parse_poly(poly_to_text(edge), CTX2) == edge
+    for make in (
+        lambda: LaurentPoly.monomial(CTX2, xe=(-16385, 0)),
+        lambda: LaurentPoly.monomial(CTX2, xe=(0, 16384)),
+        lambda: LaurentPoly.monomial(CTX2, ye=(0, 32768)),
+        lambda: LaurentPoly.monomial(CTX2, he=32768),
+        # products that push a field over the top or, for x, below the bottom
+        lambda: y(0, 20000) * y(0, 20000),
+        lambda: LaurentPoly.x(ctx1, 0, -10000) * LaurentPoly.x(ctx1, 0, -10000),
+        lambda: LaurentPoly.monomial(CTX2, ce=20000) * LaurentPoly.monomial(CTX2, ce=20000),
+        lambda: x(1, 9000) ** 2,
+        lambda: LaurentPoly.x(ctx1, 0, -9000) ** 2,
+        lambda: shift_y(LaurentPoly.monomial(CTX2, ye=(1, 0), he=32767), (1, 0)),
+        # clearing x1^-16384 moves x2^16383 to x2^32767 along the pair (0, 1)
+        lambda: taylor_pair(x(0, -16384) + x(1, 16383), (0, 1), 1),
+    ):
+        with pytest.raises(ValueError, match="outside its packed field"):
             make()
 
 
@@ -195,7 +219,7 @@ def test_parse_round_trip_random():
     for _ in range(40):
         terms = {}
         for _ in range(rng.randint(1, 6)):
-            key = (
+            key = monomial_key(
                 (rng.randint(-2, 3), rng.randint(-2, 3)),
                 (rng.randint(0, 3), rng.randint(0, 3)),
                 rng.randint(0, 2),
@@ -224,7 +248,7 @@ def test_term_keys_build_monomials_and_read_degrees():
     key = monomial_key((1, -2), (2, 0))
     assert LaurentPoly(CTX2, {key: 1}) == LaurentPoly.monomial(CTX2, xe=(1, -2), ye=(2, 0))
     f = parse_poly("x1^-3*y1^2*y2*c*h^2 + x2", CTX2)
-    assert sorted(term_degree(key) for key in f.terms) == [0, 6]
+    assert sorted(term_degree(CTX2, key) for key in f.terms) == [0, 6]
 
 
 def test_permutation_action_moves_variables():
@@ -302,7 +326,9 @@ def _random_poly_strategy(st, ctx, max_terms=6):
         st.integers(0, 1),
     )
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-    return st.dictionaries(key, coeff, max_size=max_terms).map(lambda terms: LaurentPoly(ctx, terms))
+    return st.dictionaries(key, coeff, max_size=max_terms).map(
+        lambda terms: LaurentPoly(ctx, {monomial_key(*key): c for key, c in terms.items()})
+    )
 
 
 def _form_strategy(st, ctx):
@@ -310,6 +336,11 @@ def _form_strategy(st, ctx):
     nonzero = st.integers(-3, 3).filter(bool)
     pair = st.tuples(st.integers(0, ctx.n - 1), st.integers(0, ctx.n - 1)).filter(lambda rs: rs[0] < rs[1])
     return st.builds(lambda rs, a, b: LinearForm(rs[0], rs[1], a, b), pair, nonzero, nonzero)
+
+
+def _exponent_items(f):
+    """(exponents, coefficient) pairs of f, the exponents unpacked from each key."""
+    return [(poly.key_exponents(f.ctx, key), coeff) for key, coeff in f.terms.items()]
 
 
 def _hypothesis_settings(hypothesis):
@@ -341,7 +372,7 @@ def _sympy_rank3(sympy):
                 * sympy.Mul(*[v**e for v, e in zip(xs + ys, xe + ye)])
                 * c**ce
                 * h**he
-                for (xe, ye, ce, he), coeff in f.terms.items()
+                for (xe, ye, ce, he), coeff in _exponent_items(f)
             ]
         )
 
@@ -405,7 +436,7 @@ def test_taylor_pair_agrees_with_sympy():
     def check(f, pair):
         i, j = pair
         # taylor_pair first clears negative powers of x_i by a unit
-        clear = max([0] + [-xe[i] for xe, _, _, _ in f.terms])
+        clear = max([0] + [-xe[i] for (xe, _, _, _), _ in _exponent_items(f)])
         cleared = sympy.expand(to_sympy(f) * xs[i] ** clear)
         moved = sympy.expand(cleared.subs({xs[i]: xs[j] + u, ys[i]: ys[j] + v}, simultaneous=True))
         coeffs = taylor_pair(f, pair, order)
@@ -439,7 +470,7 @@ def _is_canonical(scalar):
 
 
 def test_integral_coefficients_are_stored_as_int():
-    key = ((1, -1), (0, 2), 0, 1)
+    key = monomial_key((1, -1), (0, 2), he=1)
     a = LaurentPoly(CTX2, {key: Fraction(3)})
     b = LaurentPoly(CTX2, {key: 3})
     assert a == b and hash(a) == hash(b)
@@ -474,6 +505,10 @@ def test_operations_keep_coefficients_canonical():
             act_perm(w, f),
             subst_params(f, c_sign=-1, c_to_h=2, h_sign=-1),
             exact_divide(form.to_poly(CTX3) * g, form),
+            -f,
+            LaurentPoly.sum(CTX3, [f, g, f * Fraction(1, 3)]),
+            poly.act_matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)), f),
+            poly.linear_poly(CTX3, (Fraction(1, 2), 2, 0), h=Fraction(4, 2)),
         ]
         results.extend(taylor_pair(f, (0, 1), 3).values())
         for result in results:
@@ -679,17 +714,29 @@ def test_fast_paths_agree_with_the_full_constructor():
     check()
 
 
+def test_certificate_memo_is_bounded_and_changes_no_verdict(monkeypatch):
+    form = LinearForm(0, 1, 1, -1)
+    hit = form.to_poly(CTX2) * parse_poly("x1^-1*y1^2 + 3/2*c*h*y2 - x2", CTX2)
+    miss = hit + x(0)
+    want = [exact_divide(hit, form), exact_divide(miss, form)]
+    assert want[0] is not None and want[1] is None
+    monkeypatch.setattr(poly, "_CERT_MEMO_CAP", 2)
+    assert [exact_divide(hit, form), exact_divide(miss, form)] == want
+    # cleared on reaching the cap, the memo then holds at most one call's terms
+    assert len(poly._cert_memo(2)) < 2 + len(miss.terms)
+
+
 def test_fraction_free_product_agrees_with_fraction_pairs():
+    # the packed product key k1 + k2 - one against the per-pair product of the
+    # unpacked exponents, on Laurent inputs with x exponents of either sign
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @_hypothesis_settings(hypothesis)
-    @hypothesis.given(_random_poly_strategy(st, CTX3), _random_poly_strategy(st, CTX3))
     def check(f, g):
         want = {}
-        for (xe1, ye1, ce1, he1), c1 in f.terms.items():
-            for (xe2, ye2, ce2, he2), c2 in g.terms.items():
-                key = (
+        for (xe1, ye1, ce1, he1), c1 in _exponent_items(f):
+            for (xe2, ye2, ce2, he2), c2 in _exponent_items(g):
+                key = monomial_key(
                     tuple(a + b for a, b in zip(xe1, xe2)),
                     tuple(a + b for a, b in zip(ye1, ye2)),
                     ce1 + ce2,
@@ -700,7 +747,9 @@ def test_fraction_free_product_agrees_with_fraction_pairs():
         assert product.terms == {key: c for key, c in want.items() if c}
         assert all(map(_is_canonical, product.terms.values()))
 
-    check()
+    for ctx in (VarContext(1), CTX2, CTX3):
+        polys = _random_poly_strategy(st, ctx)
+        _hypothesis_settings(hypothesis)(hypothesis.given(polys, polys)(check))()
 
 
 def test_automorphisms_and_unshared_forms_skip_cancellation(monkeypatch):
