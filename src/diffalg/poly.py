@@ -152,7 +152,7 @@ class LaurentPoly(Immutable):
         for value in values:
             _check_ctx(ctx, value.ctx)
             parts.append(_integral_terms(value.terms))
-        d = lcm(*(di for di, _ in parts))
+        d = lcm(*[di for di, _ in parts])  # a list, not a generator: see _integral_terms
         out = {}
         for di, items in parts:
             scale = d // di
@@ -283,7 +283,9 @@ def _integral_terms(terms):
     """(d, items): d the lcm of the coefficient denominators, items the terms * d."""
     if Fraction not in map(type, terms.values()):
         return 1, terms.items()
-    d = lcm(*(c.denominator for c in terms.values()))
+    # a list, not a generator: lcm(*generator) builds its argument tuple at a guessed
+    # size and resizes it, and each one freed stays in the interpreter's tuple free list
+    d = lcm(*[c.denominator for c in terms.values()])
     return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
 
 
@@ -416,12 +418,27 @@ def act_perm(w, f):
 
 
 def act_matrix(m, f):
-    """Integer matrix as substitution: y_j -> sum_i m[i][j] y_i, x^e -> x^(m e)."""
+    """Integer matrix as substitution: y_j -> sum_i m[i][j] y_i, x^e -> x^(m e).
+
+    A permutation matrix, whose column j holds a single 1 in row w[j] with w
+    a permutation, goes to act_perm(w, f).  The substitution is then
+    y_j -> y_{w(j)} and x^e -> x^e' with e'_{w(j)} = e_j: a relabelling of
+    the key fields, exact with no arithmetic, and every image stays in its
+    field.  Any other matrix expands by products.  The terms are grouped by
+    their y part; the product of column powers is formed once per group and
+    multiplied by the sum of the group's moved x, c and h monomials.  An x
+    image outside its packed field raises ValueError.
+    """
     ctx = f.ctx
+    columns = list(zip(*m))
+    unit = [0] * (ctx.n - 1) + [1]
+    if all(sorted(column) == unit for column in columns):
+        w = tuple(column.index(1) for column in columns)
+        if len(set(w)) == ctx.n:
+            return act_perm(w, f)
     layout = _layout(ctx.n)
-    columns = [linear_poly(ctx, [row[j] for row in m]) for j in range(ctx.n)]
-    powers = {}
-    pieces = []
+    y_fields = sum(_FIELD << shift for shift in layout.ys)
+    groups = {}
     for key, coeff in f.terms.items():
         xe = [(key >> shift & _FIELD) - _X_BIAS for shift in layout.xs]
         moved = layout.one + (key & _CH_FIELDS)
@@ -430,12 +447,17 @@ def act_matrix(m, f):
             if not -_X_BIAS <= image < _X_BIAS:
                 raise ValueError(_RANGE_ERROR)
             moved += image << shift
-        piece = LaurentPoly._make(ctx, {moved: coeff})
+        group = groups.setdefault(key & y_fields, {})
+        group[moved] = group.get(moved, 0) + coeff
+    powers = {}
+    pieces = []
+    for ypart, group in groups.items():
+        piece = LaurentPoly(ctx, group)
         for j, shift in enumerate(layout.ys):
-            e = key >> shift & _FIELD
+            e = ypart >> shift & _FIELD
             if e:
                 if (j, e) not in powers:
-                    powers[j, e] = columns[j] ** e
+                    powers[j, e] = linear_poly(ctx, columns[j]) ** e
                 piece = piece * powers[j, e]
         pieces.append(piece)
     return LaurentPoly.sum(ctx, pieces)
@@ -846,6 +868,13 @@ def taylor_pair(f, pair, order):
     the diagonal point, so vanishing orders are unchanged), substitutes
     x_i = x_j + u and y_i = y_j + v, and returns the coefficient of u^a v^b
     for every a + b < order as a map (a, b) -> LaurentPoly.
+
+    Runs in two passes.  The first substitutes x_i = x_j + u: it moves each
+    term's x_i exponent onto x_j, and the terms that differ only in how their
+    x-degree splits between x_i and x_j merge into one, which keeps a
+    coefficient of u^a for each a < order.  The second substitutes
+    y_i = y_j + v, for b < order - a, on each merged term and each a whose
+    coefficient did not sum to zero.
     """
     i, j = pair
     if i == j:
@@ -861,22 +890,39 @@ def taylor_pair(f, pair, order):
     xi, xj, yi, yj = layout.xs[i], layout.xs[j], layout.ys[i], layout.ys[j]
     clear = max(0, _X_BIAS - min(key >> xi & _FIELD for key in f.terms))
     d, items = _integral_terms(f.terms)
-    acc = [[{} for b in range(order - a)] for a in range(order)]
-    binomials = {}  # e -> [comb(e, a) for a < order]
+    binomials = {}  # e -> [comb(e, k) for k < order]
+
+    def binomial_row(e):
+        if e not in binomials:
+            binomials[e] = [comb(e, k) for k in range(order)]
+        return binomials[e]
+
+    # x_i^e -> sum_a C(e, a) x_j^(e - a) u^a, kept under the key of x_j^e
+    merged = {}
     for key, coeff in items:
-        ei = (key >> xi & _FIELD) - _X_BIAS + clear
-        fi = key >> yi & _FIELD
-        for e in (ei, fi):
-            if e not in binomials:
-                binomials[e] = [comb(e, a) for a in range(order)]
-        # x_i^ei y_i^fi -> x_j^(ei - a) y_j^(fi - b) u^a v^b
-        base = key - ((ei - clear) << xi) - (fi << yi) + (ei << xj) + (fi << yj)
-        for a, (buckets, ca) in enumerate(zip(acc[: ei + 1], binomials[ei])):
-            scale = coeff * ca
-            base_a = base - (a << xj)
-            for b, (bucket, cb) in enumerate(zip(buckets[: fi + 1], binomials[fi])):
-                moved = base_a - (b << yj)
-                bucket[moved] = bucket.get(moved, 0) + scale * cb
+        e = (key >> xi & _FIELD) - _X_BIAS + clear
+        moved = key - ((e - clear) << xi) + (e << xj)
+        scales = merged.get(moved)
+        if scales is None:
+            merged[moved] = [coeff * ca for ca in binomial_row(e)]
+        else:
+            for a, ca in enumerate(binomial_row(e)):
+                scales[a] += coeff * ca
+    if reduce(or_, merged, 0) & layout.guard:
+        raise ValueError(_RANGE_ERROR)
+    # y_i^e -> sum_b C(e, b) y_j^(e - b) v^b; popping frees each merged term once used
+    acc = [[{} for b in range(order - a)] for a in range(order)]
+    while merged:
+        key, scales = merged.popitem()
+        e = key >> yi & _FIELD
+        base = key - (e << yi) + (e << yj)
+        row = binomial_row(e)
+        for a, (buckets, scale) in enumerate(zip(acc, scales)):
+            if scale:
+                base_a = base - (a << xj)
+                for b, (bucket, cb) in enumerate(zip(buckets[: e + 1], row)):
+                    moved = base_a - (b << yj)
+                    bucket[moved] = bucket.get(moved, 0) + scale * cb
     for a, buckets in enumerate(acc):
         for b, bucket in enumerate(buckets):
             out[a, b] = _from_ints(f.ctx, bucket, d)

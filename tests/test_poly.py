@@ -1,6 +1,7 @@
 """Exact polynomial layer: arithmetic, text round trips, linear-form division."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -332,9 +333,9 @@ def _random_poly_strategy(st, ctx, max_terms=6):
 
 
 def _form_strategy(st, ctx):
-    """Forms y_r - y_s + a*h + b*c with a and b nonzero."""
-    nonzero = st.integers(-3, 3).filter(bool)
-    pair = st.tuples(st.integers(0, ctx.n - 1), st.integers(0, ctx.n - 1)).filter(lambda rs: rs[0] < rs[1])
+    """Forms y_r - y_s + a*h + b*c with a and b nonzero, drawn with r < s and no filter."""
+    nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    pair = st.integers(0, ctx.n - 2).flatmap(lambda r: st.tuples(st.just(r), st.integers(r + 1, ctx.n - 1)))
     return st.builds(lambda rs, a, b: LinearForm(rs[0], rs[1], a, b), pair, nonzero, nonzero)
 
 
@@ -359,10 +360,10 @@ def test_exact_divide_recovers_random_cofactors():
     check()
 
 
-def _sympy_rank3(sympy):
-    """Symbols x1..x3, y1..y3, c, h and a converter from LaurentPoly on CTX3."""
-    xs = sympy.symbols("x1:4")
-    ys = sympy.symbols("y1:4")
+def _sympy_ring(sympy, n=3):
+    """Symbols x1..xn, y1..yn, c, h and a converter from LaurentPoly on VarContext(n)."""
+    xs = sympy.symbols(f"x1:{n + 1}")
+    ys = sympy.symbols(f"y1:{n + 1}")
     c, h = sympy.symbols("c h")
 
     def to_sympy(f):
@@ -383,7 +384,7 @@ def test_exact_divide_agrees_with_sympy_remainder():
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
-    xs, ys, c, h, to_sympy = _sympy_rank3(sympy)
+    xs, ys, c, h, to_sympy = _sympy_ring(sympy)
 
     @_hypothesis_settings(hypothesis)
     @hypothesis.given(
@@ -410,7 +411,7 @@ def test_product_agrees_with_sympy():
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
-    to_sympy = _sympy_rank3(sympy)[-1]
+    to_sympy = _sympy_ring(sympy)[-1]
 
     @_hypothesis_settings(hypothesis)
     @hypothesis.given(_random_poly_strategy(st, CTX3), _random_poly_strategy(st, CTX3))
@@ -424,16 +425,25 @@ def test_taylor_pair_agrees_with_sympy():
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
-    xs, ys, c, h, to_sympy = _sympy_rank3(sympy)
+    xs, ys, c, h, to_sympy = _sympy_ring(sympy)
     u, v = sympy.symbols("u v")
-    order = 3
+    reversed_pair = LaurentPoly(
+        CTX3,
+        {
+            monomial_key((-2, 1, 0), (2, 1, 0), 1, 0): Fraction(3, 2),
+            monomial_key((1, -1, 2), (0, 2, 1)): -1,
+            monomial_key((0, 3, -1), (1, 1, 0), 0, 1): 2,
+        },
+    )
 
     @_hypothesis_settings(hypothesis)
     @hypothesis.given(
         _random_poly_strategy(st, CTX3),
         st.permutations(range(3)).map(lambda p: tuple(p[:2])),
+        st.integers(1, 5),
     )
-    def check(f, pair):
+    @hypothesis.example(reversed_pair, (1, 0), 5)
+    def check(f, pair, order):
         i, j = pair
         # taylor_pair first clears negative powers of x_i by a unit
         clear = max([0] + [-xe[i] for (xe, _, _, _), _ in _exponent_items(f)])
@@ -445,6 +455,54 @@ def test_taylor_pair_agrees_with_sympy():
             assert sympy.expand(to_sympy(value) - moved.coeff(u, a).coeff(v, b)) == 0
 
     check()
+
+
+def test_act_matrix_agrees_with_termwise_substitution():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    contexts = [VarContext(1), CTX2, CTX3]
+    groups = [[RootData.type_a(1)], [RootData.type_a(2), RootData.b2()], [RootData.type_a(3)]]
+    rings = [_sympy_ring(sympy, ctx.n) for ctx in contexts]
+
+    def substituted(m, f, ring):
+        # each term on its own: x^e -> x^(m e), y_j -> sum_i m[i][j] y_i
+        xs, ys, c, h, _ = ring
+        total = 0
+        for (xe, ye, ce, he), coeff in _exponent_items(f):
+            image = [sum(a * e for a, e in zip(row, xe)) for row in m]
+            monomial_key(image, [0] * len(xe))  # an image outside its field raises here
+            columns = [sum(row[j] * yi for row, yi in zip(m, ys)) for j in range(len(ye))]
+            total += (
+                sympy.Rational(coeff.numerator, coeff.denominator)
+                * sympy.Mul(*[xi**e for xi, e in zip(xs, image)])
+                * sympy.Mul(*[column**e for column, e in zip(columns, ye)])
+                * c**ce
+                * h**he
+            )
+        return total
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(st.tuples(*[_random_poly_strategy(st, ctx) for ctx in contexts]))
+    def check(polys):
+        for f, ring, group in zip(polys, rings, groups):
+            for m in (m for roots in group for m in roots.elements):
+                assert sympy.expand(ring[-1](poly.act_matrix(m, f)) - substituted(m, f, ring)) == 0
+
+    check()
+    # the extreme x exponents: a permutation keeps them, a sign flip may leave the field
+    edge = LaurentPoly.monomial(CTX2, xe=(16383, -16384), ye=(1, 0), he=1)
+    raised = []
+    for m in RootData.type_a(2).elements + RootData.b2().elements:
+        try:
+            expected = substituted(m, edge, rings[1])
+        except ValueError as error:
+            raised.append(m)
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                poly.act_matrix(m, edge)
+        else:
+            assert sympy.expand(rings[1][-1](poly.act_matrix(m, edge)) - expected) == 0
+    assert raised and not set(raised) & set(RootData.type_a(2).elements)
 
 
 def test_span_dimension_agrees_with_sympy_rank():
