@@ -424,10 +424,8 @@ def act_matrix(m, f):
     a permutation, goes to act_perm(w, f).  The substitution is then
     y_j -> y_{w(j)} and x^e -> x^e' with e'_{w(j)} = e_j: a relabelling of
     the key fields, exact with no arithmetic, and every image stays in its
-    field.  Any other matrix expands by products.  The terms are grouped by
-    their y part; the product of column powers is formed once per group and
-    multiplied by the sum of the group's moved x, c and h monomials.  An x
-    image outside its packed field raises ValueError.
+    field.  Any other matrix expands each term by products of column powers.
+    An x image outside its packed field raises ValueError.
     """
     ctx = f.ctx
     columns = list(zip(*m))
@@ -437,8 +435,8 @@ def act_matrix(m, f):
         if len(set(w)) == ctx.n:
             return act_perm(w, f)
     layout = _layout(ctx.n)
-    y_fields = sum(_FIELD << shift for shift in layout.ys)
-    groups = {}
+    powers = {}
+    pieces = []
     for key, coeff in f.terms.items():
         xe = [(key >> shift & _FIELD) - _X_BIAS for shift in layout.xs]
         moved = layout.one + (key & _CH_FIELDS)
@@ -447,14 +445,9 @@ def act_matrix(m, f):
             if not -_X_BIAS <= image < _X_BIAS:
                 raise ValueError(_RANGE_ERROR)
             moved += image << shift
-        group = groups.setdefault(key & y_fields, {})
-        group[moved] = group.get(moved, 0) + coeff
-    powers = {}
-    pieces = []
-    for ypart, group in groups.items():
-        piece = LaurentPoly(ctx, group)
+        piece = LaurentPoly._make(ctx, {moved: coeff})
         for j, shift in enumerate(layout.ys):
-            e = ypart >> shift & _FIELD
+            e = key >> shift & _FIELD
             if e:
                 if (j, e) not in powers:
                     powers[j, e] = linear_poly(ctx, columns[j]) ** e
