@@ -31,6 +31,7 @@ from .ideals import (
     IdealSpec,
     PlaneSubset,
     Window,
+    class_polys,
     delta_S_direct,
     delta_S_schur,
     dominant_coweights,
@@ -62,7 +63,6 @@ from .zalg import (
     abelian_embed,
     class_commutative,
     class_localized,
-    class_to_poly,
     commutative_limit,
     embed_compose,
     match_conventions,
@@ -465,7 +465,6 @@ def _suite_delta_bases(cfg, rng):
 def _suite_ideal_membership(cfg, rng):
     n = max(cfg.rank, 2)
     roots = RootData.type_a(n)
-    ctx = VarContext(n)
     steps = []
     for d in range(1, min(cfg.d_max, 3) + 1):
         def check(d=d):
@@ -480,16 +479,11 @@ def _suite_ideal_membership(cfg, rng):
     def unit_gap_reduced():
         for d in range(1, min(cfg.d_max, 3) + 1):
             spec = IdealSpec(roots, d)
-            for lam in dominant_coweights(n, 1, 0):
-                for ye in itertools.product(range(2), repeat=n):
-                    f = LaurentPoly.monomial(ctx, ye=ye)
-                    cls = class_commutative(lam, f, d, roots)
-                    poly = class_to_poly(ctx, cls)
-                    if not poly:
-                        continue
-                    ok, witness = membership(poly, spec)
-                    if not ok:
-                        return False, witness["coefficient"]
+            dressings = itertools.product(range(2), repeat=n)
+            for _lam, _ye, poly in class_polys(roots, d, dominant_coweights(n, 1, 0), dressings):
+                ok, witness = membership(poly, spec)
+                if not ok:
+                    return False, witness["coefficient"]
         return True, None
 
     steps.append(("divided classes on the unit-gap box stay in the ideal", unit_gap_reduced))

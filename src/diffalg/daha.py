@@ -35,11 +35,11 @@ from math import factorial, prod
 from operator import add
 
 from .poly import (
-    Immutable,
     LaurentPoly,
     LinearForm,
     ParseError,
     RationalFunction,
+    TermSum,
     VarContext,
     act,
     linear_poly,
@@ -63,7 +63,7 @@ class NotPolynomialPreserving(ValueError):
     """Raised when applying an operator leaves a nonzero denominator."""
 
 
-class DiffReflOp(Immutable):
+class DiffReflOp(TermSum):
     """Finite sum of rational coefficients times extended affine group elements."""
 
     __slots__ = ("ctx", "terms")
@@ -71,6 +71,9 @@ class DiffReflOp(Immutable):
     def __init__(self, ctx, terms):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", {k: v for k, v in terms.items() if v})
+
+    def _like(self, terms):
+        return DiffReflOp(self.ctx, terms)
 
     @classmethod
     def zero(cls, ctx):
@@ -81,31 +84,17 @@ class DiffReflOp(Immutable):
         key = (identity_perm(ctx.n), (0,) * ctx.n)
         return cls(ctx, {key: RationalFunction.one(ctx)})
 
-    def __add__(self, other):
-        if not isinstance(other, DiffReflOp):
-            return NotImplemented
-        return DiffReflOp(self.ctx, sum_by_key(chain(self.terms.items(), other.terms.items())))
-
-    def __neg__(self):
-        return DiffReflOp(self.ctx, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, DiffReflOp):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, scalar):
         """Left multiplication by a scalar, polynomial, or rational function."""
         if isinstance(scalar, (int, Fraction, LaurentPoly, RationalFunction)):
-            return DiffReflOp(
-                self.ctx, {k: v * scalar for k, v in self.terms.items()}
-            )
+            return self._like({k: v * scalar for k, v in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def compose(self, other):
         """Operator product self o other (other acts first)."""
+        self._check_tags(other, "compose")
         pairs = (
             (
                 (perm_mul(w1, w2), tuple(map(add, l1, perm_on_vector(w1, l2)))),
@@ -114,21 +103,10 @@ class DiffReflOp(Immutable):
             for (w1, l1), f1 in self.terms.items()
             for (w2, l2), f2 in other.terms.items()
         )
-        return DiffReflOp(self.ctx, sum_by_key(pairs, lambda f1, f2, g1: f1 * f2.act(g1)))
+        return self._like(sum_by_key(pairs, lambda f1, f2, g1: f1 * f2.act(g1)))
 
     def __matmul__(self, other):
         return self.compose(other)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffReflOp):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms)))
 
     def apply(self, f):
         """Apply to a polynomial; raises NotPolynomialPreserving on failure."""
@@ -158,24 +136,20 @@ class DiffReflOp(Immutable):
         An operator at the shifted parameter is the substitution of the one
         built at c.
         """
-        return DiffReflOp(
-            self.ctx, {k: v.subst_c(c_to_h=c_to_h) for k, v in self.terms.items()}
-        )
+        return self._like({k: v.subst_c(c_to_h=c_to_h) for k, v in self.terms.items()})
 
-    def __repr__(self):
-        return op_to_text(self)
+    # terms print by translation, then by permutation
+    _order = staticmethod(lambda key: (key[1], key[0]))
+
+    def _term_text(self, key, coeff):
+        w, lam = key
+        lam_text = ",".join(str(v) for v in lam)
+        w_text = ",".join(str(v + 1) for v in w)
+        return f"({coeff.text()}) * u^[{lam_text}] * [{w_text}]"
 
 
 def op_to_text(op):
-    if not op.terms:
-        return "0"
-    pieces = []
-    for key in sorted(op.terms, key=lambda k: (k[1], k[0])):
-        w, lam = key
-        lam_text = "[" + ",".join(str(v) for v in lam) + "]"
-        w_text = "[" + ",".join(str(v + 1) for v in w) + "]"
-        pieces.append(f"({op.terms[key].text()}) * u^{lam_text} * {w_text}")
-    return " + ".join(pieces)
+    return op.text()
 
 
 # -- generators ------------------------------------------------------------

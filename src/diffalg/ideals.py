@@ -403,6 +403,22 @@ def graded_dimension(spec, d_isotypic, window):
     return GradedSlice(keys, basis)
 
 
+def class_polys(roots, d, coweights, dressings, normalization="reduced"):
+    """Yield (lam, ye, poly) for each nonzero commutative class polynomial.
+
+    poly flattens the level-d class of lam dressed by the monomial y^ye, for
+    lam over coweights and ye over dressings, in that loop order.
+    """
+    ctx = VarContext(roots.rank)
+    dressings = list(dressings)
+    for lam in coweights:
+        for ye in dressings:
+            f = LaurentPoly.monomial(ctx, ye=ye)
+            poly = class_to_poly(ctx, class_commutative(lam, f, d, roots, normalization))
+            if poly:
+                yield lam, ye, poly
+
+
 def verify_containment(n, d, lam_bound, f_degree, normalization="raw"):
     """Check that every commutative class of level d lies in e_d I^(d).
 
@@ -420,20 +436,14 @@ def verify_containment(n, d, lam_bound, f_degree, normalization="raw"):
     """
     roots = RootData.type_a(n)
     spec = IdealSpec(roots, d)
-    ctx = VarContext(n)
     checked = 0
     failures = []
-    for lam in dominant_coweights(n, lam_bound, -lam_bound):
-        for ye in y_exponents(n, f_degree):
-            f = LaurentPoly.monomial(ctx, ye=ye)
-            cls = class_commutative(lam, f, d, roots, normalization=normalization)
-            poly = class_to_poly(ctx, cls)
-            if not poly:
-                continue
-            checked += 1
-            ok, witness = membership(poly, spec)
-            if not ok:
-                failures.append({"lam": lam, "dressing": ye, "witness": witness})
+    coweights = dominant_coweights(n, lam_bound, -lam_bound)
+    for lam, ye, poly in class_polys(roots, d, coweights, y_exponents(n, f_degree), normalization):
+        checked += 1
+        ok, witness = membership(poly, spec)
+        if not ok:
+            failures.append({"lam": lam, "dressing": ye, "witness": witness})
     return {"ok": not failures, "checked": checked, "failures": failures}
 
 
@@ -447,28 +457,24 @@ def verify_spanning(n, d, window):
     """
     roots = RootData.type_a(n)
     spec = IdealSpec(roots, d)
-    ctx = VarContext(n)
     slice_ = graded_dimension(spec, d, window)
     index = {key: t for t, key in enumerate(slice_.columns)}
     vectors = []
     generators = 0
     failures = []
-    for lam in dominant_coweights(n, window.x_max, window.x_min):
-        for ye in y_exponents(n, window.y_max):
-            f = LaurentPoly.monomial(ctx, ye=ye)
-            cls = class_commutative(lam, f, d, roots)
-            poly = class_to_poly(ctx, cls)
-            if not poly or not poly.terms.keys() <= index.keys():
-                continue
-            generators += 1
-            ok, witness = membership(poly, spec)
-            if not ok:
-                failures.append({"lam": lam, "dressing": ye, "witness": witness})
-                continue
-            row = [0] * len(index)
-            for key, value in poly.terms.items():
-                row[index[key]] = value
-            vectors.append(row)
+    coweights = dominant_coweights(n, window.x_max, window.x_min)
+    for lam, ye, poly in class_polys(roots, d, coweights, y_exponents(n, window.y_max)):
+        if not poly.terms.keys() <= index.keys():
+            continue
+        generators += 1
+        ok, witness = membership(poly, spec)
+        if not ok:
+            failures.append({"lam": lam, "dressing": ye, "witness": witness})
+            continue
+        row = [0] * len(index)
+        for key, value in poly.terms.items():
+            row[index[key]] = value
+        vectors.append(row)
     span_dim = span_dimension(vectors) if vectors else 0
     return {
         "ok": not failures and span_dim == slice_.dimension,

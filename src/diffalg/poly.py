@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import chain
 from math import comb, lcm, prod
 from operator import mul, or_
 
@@ -102,6 +103,67 @@ class Immutable:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class TagMismatch(ValueError):
+    """Raised when combining sums whose tags do not line up."""
+
+
+class TermSum(Immutable):
+    """Finite sum of nonzero coefficients keyed by group elements.
+
+    A subclass lists its slots, one of them ``terms`` (key -> coefficient);
+    every other slot is a tag (variable context or matter, framing tags,
+    exactness), and sums with different tags never add.  A subclass supplies
+    ``_like(terms)``, the sum with its own tags and the given terms,
+    ``_term_text(key, coeff)`` and ``_order``, the sort key of printing.
+    """
+
+    __slots__ = ()
+    _order = None
+
+    def _tags(self):
+        return tuple(getattr(self, name) for name in self.__slots__ if name != "terms")
+
+    def _check_tags(self, other, verb):
+        """Raise TagMismatch unless other carries the same tags as self."""
+        mine, theirs = self._tags(), other._tags()
+        if mine != theirs:
+            raise TagMismatch(f"cannot {verb} {type(self).__name__} with tags {mine} and {theirs}")
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_tags(other, "add")
+        return self._like(sum_by_key(chain(self.terms.items(), other.terms.items())))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._tags() == other._tags() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._tags(), frozenset(self.terms.items())))
+
+    def text(self):
+        if not self.terms:
+            return "0"
+        keys = sorted(self.terms, key=self._order)
+        return " + ".join(self._term_text(key, self.terms[key]) for key in keys)
+
+    def __repr__(self):
+        return self.text()
 
 
 class LaurentPoly(Immutable):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 import itertools
 from math import prod
 
@@ -138,6 +139,7 @@ class RootData:
     positive_roots: tuple
 
     @staticmethod
+    @cache
     def type_a(n):
         mats = []
         for w in itertools.permutations(range(n)):
@@ -155,6 +157,7 @@ class RootData:
         return RootData("A", n, tuple(sorted(mats)), tuple(roots))
 
     @staticmethod
+    @cache
     def b2():
         swap = ((0, 1), (1, 0))
         flip = ((1, 0), (0, -1))
@@ -162,6 +165,7 @@ class RootData:
         return RootData("B2", 2, tuple(_close_group([swap, flip], 8)), roots)
 
     @staticmethod
+    @cache
     def g2():
         # simple reflections on the root lattice basis (short a1, long a2)
         s1 = ((-1, 3), (0, 1))

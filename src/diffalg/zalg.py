@@ -28,7 +28,7 @@ classes of the balanced pieces of its coweight.
 """
 
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import permutations
 from math import factorial, prod
 from operator import add
 
@@ -37,6 +37,8 @@ from .poly import (
     LaurentPoly,
     LinearForm,
     RationalFunction,
+    TagMismatch,
+    TermSum,
     VarContext,
     act_perm,
     linear_poly,
@@ -49,10 +51,6 @@ from .poly import (
 )
 from .weyl import RootData, all_perms, identity_perm, perm_on_vector
 from . import daha
-
-
-class TagMismatch(ValueError):
-    """Raised when combining elements whose framing tags do not line up."""
 
 
 class NoDictionary(RuntimeError):
@@ -97,89 +95,52 @@ class AbelianMatter:
     def __hash__(self):
         return hash((self.rank, self.characters))
 
+    def __repr__(self):
+        return f"AbelianMatter({self.rank}, {[list(ch) for ch in self.characters]})"
+
     def weight(self, ell, lam):
         """Integer pairing of the ell-th character with a coweight."""
         ch = self.characters[ell]
         return sum(ch[t] * lam[t] for t in range(self.rank))
 
-    def interval_factor(self, ell, lo, hi):
-        """prod_{t = lo+1 .. hi} (xi_ell + c + t h), the empty product if hi <= lo."""
+    def interval_factors(self, ell, lo, hi):
+        """The factors xi_ell + c + t h for t = lo+1 .. hi, none if hi <= lo."""
         ch = self.characters[ell]
-        return prod(
-            (linear_poly(self.ctx, ch, h=t, c=1) for t in range(lo + 1, hi + 1)),
-            start=LaurentPoly.one(self.ctx),
-        )
+        return [linear_poly(self.ctx, ch, h=t, c=1) for t in range(lo + 1, hi + 1)]
 
 
-class AbelianZElt(Immutable):
+def _coweight_terms(terms, rank, what):
+    """terms keyed by coweight tuples of length rank, zero coefficients dropped."""
+    clean = {}
+    for lam, coeff in terms.items():
+        lam = tuple(lam)
+        if len(lam) != rank:
+            raise ValueError(f"coweight length must match the {what}")
+        if coeff:
+            clean[lam] = coeff
+    return clean
+
+
+class AbelianZElt(TermSum):
     """Finite sum of dressed generators f(y) . i_r_j^lam with fixed tags."""
 
     __slots__ = ("matter", "i", "j", "terms")
 
     def __init__(self, matter, i, j, terms):
-        clean = {}
-        for lam, f in terms.items():
-            lam = tuple(lam)
-            if len(lam) != matter.rank:
-                raise ValueError("coweight length must match the rank")
-            if f:
-                clean[lam] = f
         object.__setattr__(self, "matter", matter)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _coweight_terms(terms, matter.rank, "rank"))
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, AbelianZElt):
-            return NotImplemented
-        if self.matter != other.matter:
-            raise TagMismatch("cannot add elements over different matter data")
-        if (self.i, self.j) != (other.i, other.j):
-            raise TagMismatch(
-                f"cannot add tags ({self.i},{self.j}) and ({other.i},{other.j})"
-            )
-        terms = sum_by_key(chain(self.terms.items(), other.terms.items()))
+    def _like(self, terms):
         return AbelianZElt(self.matter, self.i, self.j, terms)
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        if not isinstance(other, AbelianZElt):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, AbelianZElt):
             return abelian_product(self, other)
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            return AbelianZElt(
-                self.matter,
-                self.i,
-                self.j,
-                {lam: f * other for lam, f in self.terms.items()},
-            )
+            return self._like({lam: f * other for lam, f in self.terms.items()})
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, AbelianZElt):
-            return NotImplemented
-        return (
-            self.matter == other.matter
-            and (self.i, self.j) == (other.i, other.j)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.matter, self.i, self.j, frozenset(self.terms.items())))
 
     def degree(self):
         """Total degree: coordinates count 2, a generator counts its weights.
@@ -202,19 +163,9 @@ class AbelianZElt(Immutable):
             raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def text(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for lam in sorted(self.terms):
-            lam_text = ",".join(str(v) for v in lam)
-            pieces.append(
-                f"({poly_to_text(self.terms[lam])}) * r{self.i}_{self.j}^[{lam_text}]"
-            )
-        return " + ".join(pieces)
-
-    def __repr__(self):
-        return self.text()
+    def _term_text(self, lam, f):
+        lam_text = ",".join(str(v) for v in lam)
+        return f"({poly_to_text(f)}) * r{self.i}_{self.j}^[{lam_text}]"
 
 
 def r_generator(matter, i, j, lam, coeff=None):
@@ -246,16 +197,16 @@ def abelian_product(a, b):
     pairs = []
     for lam, f in a.terms.items():
         for mu, g in b.terms.items():
-            coeff = shift_y(f, mu) * g
+            factors = []
             for ell in range(count):
                 big_l = matter.weight(ell, lam)
                 big_m = matter.weight(ell, mu)
                 p = big_l + big_m + a.i
                 q = big_m + a.j
                 r = b.j
-                coeff = coeff * matter.interval_factor(ell, max(p, r), max(p, q, r))
-                coeff = coeff * matter.interval_factor(ell, min(p, q, r), min(p, r))
-            pairs.append((tuple(map(add, lam, mu)), coeff))
+                factors += matter.interval_factors(ell, max(p, r), max(p, q, r))
+                factors += matter.interval_factors(ell, min(p, q, r), min(p, r))
+            pairs.append((tuple(map(add, lam, mu)), prod(factors, start=shift_y(f, mu) * g)))
     return AbelianZElt(matter, a.i, b.j, sum_by_key(pairs))
 
 
@@ -272,11 +223,10 @@ def abelian_embed(a):
     matter = a.matter
     out = {}
     for lam, f in a.terms.items():
-        coeff = f
+        factors = []
         for ell in range(len(matter.characters)):
-            big_l = matter.weight(ell, lam)
-            coeff = coeff * matter.interval_factor(ell, big_l + a.i, a.j)
-        out[lam] = coeff
+            factors += matter.interval_factors(ell, matter.weight(ell, lam) + a.i, a.j)
+        out[lam] = prod(factors, start=f)
     return out
 
 
@@ -297,7 +247,7 @@ def embed_compose(first, second):
 # -- nonabelian side -------------------------------------------------------
 
 
-class SphericalClass(Immutable):
+class SphericalClass(TermSum):
     """Equivariant family of rational coefficients indexed by a coweight orbit.
 
     Such a family acts on symmetric polynomials by
@@ -309,42 +259,14 @@ class SphericalClass(Immutable):
     __slots__ = ("ctx", "i", "j", "terms", "exact")
 
     def __init__(self, ctx, i, j, terms, exact=True):
-        clean = {}
-        for lam, coeff in terms.items():
-            lam = tuple(lam)
-            if len(lam) != ctx.n:
-                raise ValueError("coweight length must match the variable count")
-            if coeff:
-                clean[lam] = coeff
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _coweight_terms(terms, ctx.n, "variable count"))
         object.__setattr__(self, "exact", exact)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, SphericalClass):
-            return NotImplemented
-        if (self.i, self.j) != (other.i, other.j):
-            raise TagMismatch(
-                f"cannot add tags ({self.i},{self.j}) and ({other.i},{other.j})"
-            )
-        terms = sum_by_key(chain(self.terms.items(), other.terms.items()))
-        return SphericalClass(
-            self.ctx, self.i, self.j, terms, self.exact and other.exact
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SphericalClass):
-            return NotImplemented
-        if (self.i, self.j) != (other.i, other.j):
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[lam] == other.terms[lam] for lam in self.terms)
+    def _like(self, terms):
+        return SphericalClass(self.ctx, self.i, self.j, terms, self.exact)
 
     def __mul__(self, other):
         if isinstance(other, SphericalClass):
@@ -363,17 +285,9 @@ class SphericalClass(Immutable):
                     return False
         return True
 
-    def text(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for lam in sorted(self.terms):
-            lam_text = ",".join(str(v) for v in lam)
-            pieces.append(f"({self.terms[lam].text()}) * u^[{lam_text}]")
-        return " + ".join(pieces)
-
-    def __repr__(self):
-        return self.text()
+    def _term_text(self, lam, coeff):
+        lam_text = ",".join(str(v) for v in lam)
+        return f"({coeff.text()}) * u^[{lam_text}]"
 
 
 def spherical_compose(a, b):

@@ -160,3 +160,50 @@ def test_sum_checker_flags_hand_written_sums():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_sums_go_through_the_summation_route(path):
     assert _pairwise_sums(path.read_text()) == []
+
+
+SHARED_METHODS = {"__add__", "__sub__", "__neg__", "__eq__", "__hash__", "is_zero", "text", "__repr__"}
+
+
+def _shared_method_copies(source):
+    """(line, class, name) of each method of ``poly.TermSum`` that a direct
+    subclass defines again, by ``def`` or by assignment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+            isinstance(base, ast.Name) and base.id == "TermSum" for base in node.bases
+        ):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            found += [(stmt.lineno, node.name, name) for name in names if name in SHARED_METHODS]
+    return found
+
+
+def test_shared_method_checker_flags_copies_in_term_sums_only():
+    source = (
+        "class A(TermSum):\n"
+        "    def _like(self, terms):\n"
+        "        return A(terms)\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    __repr__ = text = _like\n"
+        "class B(Immutable):\n"
+        "    def __add__(self, other):\n"
+        "        return self\n"
+        "class TermSum(Immutable):\n"
+        "    def is_zero(self):\n"
+        "        return True\n"
+    )
+    assert _shared_method_copies(source) == [(4, "A", "__eq__"), (6, "A", "__repr__"), (6, "A", "text")]
+
+
+# Sum, equality and printing of a term sum are written once, in poly.TermSum.
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_term_sums_keep_one_implementation(path):
+    assert _shared_method_copies(path.read_text()) == []

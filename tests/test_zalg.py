@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffalg.daha import DiffReflOp, op_sigma, op_y
 from diffalg.poly import (
     LaurentPoly,
     RationalFunction,
@@ -16,8 +17,10 @@ from diffalg.weyl import RootData
 from diffalg.zalg import (
     AbelianMatter,
     CoweightSplit,
+    SphericalClass,
     TagMismatch,
     abelian_embed,
+    abelian_product,
     class_commutative,
     class_localized,
     class_to_poly,
@@ -53,13 +56,62 @@ def test_pinned_generator_product():
     assert (a * b).text() == "(y1 + c + h) * r0_0^[0]"
 
 
-def test_tag_bookkeeping_is_enforced():
-    a = r_generator(MATTER1, 0, 1, (0,))
+# Per term-sum class: a nonzero sum, a sum with other tags that neither adds
+# to nor composes with it, and the class's product.
+TERM_SUMS = {
+    "DiffReflOp": lambda: (op_sigma(CTX2, 0), op_y(VarContext(3), 0), DiffReflOp.compose),
+    "AbelianZElt": lambda: (
+        r_generator(MATTER1, 0, 1, (0,)),
+        r_generator(MATTER1, 0, 0, (0,)),
+        abelian_product,
+    ),
+    "SphericalClass": lambda: (
+        class_localized((1, 0), 1, 0, 1),
+        class_localized((1, 0), 1, 0, 0),
+        spherical_compose,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TERM_SUMS)
+def test_tag_bookkeeping_is_enforced(name):
+    a, other, product = TERM_SUMS[name]()
+    assert not a.is_zero() and (a - a).is_zero()
+    assert -(-a) == a
+    rebuilt = a + a - a
+    assert rebuilt == a and hash(rebuilt) == hash(a) and len({a, rebuilt}) == 1
+    assert a != other
     with pytest.raises(TagMismatch):
-        a * a
+        a + other
     with pytest.raises(TagMismatch):
-        a + r_generator(MATTER1, 1, 0, (0,))
-    assert (a - a).is_zero()
+        a - other
+    with pytest.raises(TagMismatch):
+        product(a, other)
+
+
+def test_operators_over_different_contexts_do_not_mix():
+    rank2, rank3 = op_y(CTX2, 0), op_y(VarContext(3), 0)
+    with pytest.raises(TagMismatch, match=r"cannot add DiffReflOp with tags \(VarContext\(n=2\),\)"):
+        rank2 + rank3
+    with pytest.raises(TagMismatch, match="cannot compose DiffReflOp"):
+        rank2.compose(rank3)
+    with pytest.raises(TagMismatch):
+        rank3 @ rank2
+    with pytest.raises(TagMismatch, match=r"AbelianMatter\(2, \[\[1, 0\], \[0, 1\]\]\)"):
+        r_generator(MATTER1, 0, 0, (0,)) + r_generator(MATTER2, 0, 0, (0, 0))
+
+
+def test_spherical_class_tags_include_context_and_exactness():
+    exact = class_localized((1, 0), 1, 0, 0)
+    assert exact.text() == (
+        "((y1 - y2 + c - h) / (y1 - y2)) * u^[0,1] + ((y1 - y2 - c + h) / (y1 - y2)) * u^[1,0]"
+    )
+    inexact = SphericalClass(CTX2, 0, 0, exact.terms, exact=False)
+    assert inexact.text() == exact.text() and inexact != exact
+    with pytest.raises(TagMismatch):
+        exact + inexact
+    zero2, zero3 = SphericalClass(CTX2, 0, 0, {}), SphericalClass(VarContext(3), 0, 0, {})
+    assert zero2.text() == "0" and zero2 != zero3
 
 
 def test_degree_is_additive_on_generators():
