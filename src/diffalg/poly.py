@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain
 from math import comb, lcm, prod
-from operator import mul, or_
+from operator import itemgetter, mul, or_
 
 
 @dataclass(frozen=True)
@@ -922,66 +922,74 @@ def taylor_pair(f, pair, order):
     Multiplies by the x_i power needed to clear negative exponents (a unit at
     the diagonal point, so vanishing orders are unchanged), substitutes
     x_i = x_j + u and y_i = y_j + v, and returns the coefficient of u^a v^b
-    for every a + b < order as a map (a, b) -> LaurentPoly.
+    for every a + b < order as a map (a, b) -> LaurentPoly.  Raises
+    ValueError unless pair holds two distinct indices in 0..n-1.
 
-    Runs in two passes.  The first substitutes x_i = x_j + u: it moves each
-    term's x_i exponent onto x_j, and the terms that differ only in how their
-    x-degree splits between x_i and x_j merge into one, which keeps a
-    coefficient of u^a for each a < order.  The second substitutes
-    y_i = y_j + v, for b < order - a, on each merged term and each a whose
-    coefficient did not sum to zero.
+    The expansion sums graded pieces.  A term c x_i^p y_i^q m (p after
+    clearing, m free of x_i and y_i) adds c C(p,a) C(q,b) to the coefficient
+    of u^a v^b at B / (x_j^a y_j^b), where B = x_j^p y_j^q m is the base key
+    of its piece, so every Taylor coefficient is one lane of one piece's sum.
+    A piece sums in one big-int multiply-add per term, groups[B] += c *
+    V[p, q], where V[p, q] packs C(p,a) C(q,b) for a, b < order into lane
+    a*order + b of width bits.  Exactness: since C(p,a) <= C(p_max,a), every
+    lane sum, those with a + b >= order included, is at most sum|c| *
+    max_a C(p_max,a) * max_b C(q_max,b) in absolute value, which is below
+    2^(width-1).  So after adding 2^(width-1) to every lane, the lanes are
+    the unique base-2^width digits of the sum, and each reads back exactly.
     """
+    n = f.ctx.n
+    if not all(0 <= index < n for index in pair):
+        raise ValueError(f"pair {pair} has an index outside 0..{n - 1}")
     i, j = pair
     if i == j:
         raise ValueError("pair must be distinct indices")
-    out = {
-        (a, b): LaurentPoly.zero(f.ctx)
-        for a in range(order)
-        for b in range(order - a)
-    }
-    if not f.terms:
-        return out
-    layout = _layout(f.ctx.n)
-    xi, xj, yi, yj = layout.xs[i], layout.xs[j], layout.ys[i], layout.ys[j]
-    clear = max(0, _X_BIAS - min(key >> xi & _FIELD for key in f.terms))
+    buckets = {(a, b): {} for a in range(order) for b in range(order - a)}
     d, items = _integral_terms(f.terms)
-    binomials = {}  # e -> [comb(e, k) for k < order]
-
-    def binomial_row(e):
-        if e not in binomials:
-            binomials[e] = [comb(e, k) for k in range(order)]
-        return binomials[e]
-
-    # x_i^e -> sum_a C(e, a) x_j^(e - a) u^a, kept under the key of x_j^e
-    merged = {}
-    for key, coeff in items:
-        e = (key >> xi & _FIELD) - _X_BIAS + clear
-        moved = key - ((e - clear) << xi) + (e << xj)
-        scales = merged.get(moved)
-        if scales is None:
-            merged[moved] = [coeff * ca for ca in binomial_row(e)]
-        else:
-            for a, ca in enumerate(binomial_row(e)):
-                scales[a] += coeff * ca
-    if reduce(or_, merged, 0) & layout.guard:
-        raise ValueError(_RANGE_ERROR)
-    # y_i^e -> sum_b C(e, b) y_j^(e - b) v^b; popping frees each merged term once used
-    acc = [[{} for b in range(order - a)] for a in range(order)]
-    while merged:
-        key, scales = merged.popitem()
-        e = key >> yi & _FIELD
-        base = key - (e << yi) + (e << yj)
-        row = binomial_row(e)
-        for a, (buckets, scale) in enumerate(zip(acc, scales)):
-            if scale:
-                base_a = base - (a << xj)
-                for b, (bucket, cb) in enumerate(zip(buckets[: e + 1], row)):
-                    moved = base_a - (b << yj)
-                    bucket[moved] = bucket.get(moved, 0) + scale * cb
-    for a, buckets in enumerate(acc):
-        for b, bucket in enumerate(buckets):
-            out[a, b] = _from_ints(f.ctx, bucket, d)
-    return out
+    if f.terms and order:
+        layout = _layout(n)
+        xi, xj, yi, yj = layout.xs[i], layout.xs[j], layout.ys[i], layout.ys[j]
+        # key & mask holds a term's x_i and y_i fields, which fix its shift and V
+        mask = (_FIELD << xi) | (_FIELD << yi)
+        fields = set(map(mask.__and__, f.terms))
+        xfields = {pq >> xi & _FIELD for pq in fields}
+        yfields = {pq >> yi & _FIELD for pq in fields}
+        clear = max(0, _X_BIAS - min(xfields))
+        p_max, q_max = max(xfields) - _X_BIAS + clear, max(yfields)
+        bound = (
+            sum(map(abs, map(itemgetter(1), items)))
+            * comb(p_max, min(order - 1, p_max // 2))  # the largest C(p_max, a), a < order
+            * comb(q_max, min(order - 1, q_max // 2))
+        )
+        width = bound.bit_length() + 1
+        vx = {e: sum(comb(e - _X_BIAS + clear, a) << (a * order * width) for a in range(order))
+              for e in xfields}
+        vy = {e: sum(comb(e, b) << (b * width) for b in range(order)) for e in yfields}
+        table = {}  # key & mask -> (B - key, V[p, q])
+        for pq in fields:
+            xf, q = pq >> xi & _FIELD, pq >> yi & _FIELD
+            shift = (_X_BIAS << xi) + ((xf - _X_BIAS + clear) << xj) + (q << yj) - pq
+            table[pq] = shift, vx[xf] * vy[q]
+        groups = {}
+        for key, c in items:
+            shift, v = table[key & mask]
+            key += shift
+            groups[key] = groups.get(key, 0) + c * v
+        if reduce(or_, groups, 0) & layout.guard:
+            raise ValueError(_RANGE_ERROR)
+        half, lane = 1 << (width - 1), (1 << width) - 1
+        bias = half * (((1 << (width * order * order)) - 1) // lane)
+        plan = [
+            (bucket, (a * order + b) * width, (a << xj) + (b << yj))
+            for (a, b), bucket in buckets.items()
+        ]
+        for base, g in groups.items():
+            if g:
+                g += bias
+                for bucket, at, offset in plan:
+                    c = (g >> at & lane) - half
+                    if c:
+                        bucket[base - offset] = c
+    return {ab: _from_ints(f.ctx, bucket, d) for ab, bucket in buckets.items()}
 
 
 # -- text form ------------------------------------------------------------

@@ -152,7 +152,7 @@ def module_act(a, m, d):
         ok, witness = membership(a, IdealSpec(roots, d))
         if not ok:
             raise NotInIdeal(f"algebra element is not in I^({d})", witness)
-        if roots.project(a, d) != a:
+        if not roots.is_isotypic(a, d):
             raise NotInIdeal(f"algebra element is not sign^{d}-isotypic")
     return ModuleElt(m.module, m.grade + d, a * m.value)
 

@@ -103,11 +103,12 @@ def _mat_det(m):
     return total
 
 
+def _identity(size):
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+
+
 def _close_group(generators, size_limit):
-    identity = tuple(
-        tuple(1 if i == j else 0 for j in range(len(generators[0])))
-        for i in range(len(generators[0]))
-    )
+    identity = _identity(len(generators[0]))
     seen = {identity}
     frontier = [identity]
     while frontier:
@@ -196,6 +197,16 @@ class RootData:
             (linear_poly(ctx, root) for root in self.positive_roots),
             start=LaurentPoly.one(ctx),
         )
+
+    def is_isotypic(self, f, d):
+        """Whether project(f, d) == f, tested twist by twist without averaging.
+
+        project is the idempotent onto the sign^d-isotypic part and twisting is
+        a group action, so project fixes f exactly when every twist fixes f;
+        stops at the first twist that moves f.
+        """
+        one = _identity(self.rank)
+        return all(self.twist(w, f, d) == f for w in self.elements if w != one)
 
     def project(self, f, d):
         """Average of sign^d-twisted translates over the whole group."""

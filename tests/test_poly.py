@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -27,7 +27,7 @@ from diffalg.poly import (
     term_degree,
 )
 from diffalg.daha import DiffReflOp
-from diffalg.ideals import GradedSlice, IdealSpec, PlaneSubset, Window, span_dimension
+from diffalg.ideals import GradedSlice, IdealSpec, PlaneSubset, Window, membership, span_dimension
 from diffalg.springer import ChainModel, EquivaluedModule
 from diffalg.weyl import RootData
 from diffalg.zalg import AbelianMatter, class_localized, r_generator, split_coweight
@@ -457,6 +457,81 @@ def test_taylor_pair_agrees_with_sympy():
     check()
 
 
+def test_taylor_pair_lanes_hold_large_cancelling_sums():
+    """Inputs that fill the packed lanes: large and Fraction coefficients, high
+    x_i/y_i exponents, products whose low lanes cancel to exactly 0, and the
+    same products with one coefficient moved by +-1."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    xs, ys, c, h, to_sympy = _sympy_ring(sympy, n=2)
+    big = st.integers(2**64, 2**100)
+    coeff = st.one_of(
+        st.builds(lambda m, sign: sign * m, big, st.sampled_from([1, -1])),
+        st.builds(Fraction, big, st.integers(2, 2**20)),
+    )
+    key = st.tuples(
+        st.tuples(st.integers(-3, 30), st.integers(-3, 30)),
+        st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        st.integers(0, 1),
+        st.integers(0, 1),
+    )
+    cofactor = st.dictionaries(key, coeff, min_size=1, max_size=3).map(
+        lambda terms: LaurentPoly(CTX2, {monomial_key(*key): c for key, c in terms.items()})
+    )
+    roots = RootData.type_a(2)
+    # at order 4, the one term c x1^30 fills lane (3, 0) to exactly the width's bound
+    lone = LaurentPoly(CTX2, {monomial_key((30, 0), (0, 0)): 2**100})
+
+    def oracle(f, pair, order):
+        # (1 / a! b!) d^a/dx_i^a d^b/dy_i^b of x_i^clear f at x_i = x_j, y_i = y_j,
+        # differentiated as a polynomial after x_j^3 clears the x_j exponents
+        i, j = pair
+        clear = max([0] + [-xe[i] for (xe, _, _, _), _ in _exponent_items(f)])
+        cleared = sympy.Poly(to_sympy(f) * xs[i] ** clear * xs[j] ** 3, *xs, *ys, c, h)
+        diagonal = {xs[i]: xs[j], ys[i]: ys[j]}
+        return {
+            (a, b): cleared.diff((xs[i], a), (ys[i], b)).as_expr().xreplace(diagonal)
+            / (xs[j] ** 3 * factorial(a) * factorial(b))
+            for a in range(order)
+            for b in range(order - a)
+        }
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(
+        cofactor,
+        st.sampled_from([(0, 1), (1, 0)]),
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.integers(1, 5),
+        st.sampled_from([1, -1]),
+    )
+    @hypothesis.example(lone, (0, 1), 0, 0, 4, 1)
+    @hypothesis.example(lone, (0, 1), 3, 2, 5, -1)
+    def check(g, pair, a, b, order, sign):
+        i, j = pair
+        f = (x(i) - x(j)) ** a * (y(i) - y(j)) ** b * g
+        coeffs = taylor_pair(f, pair, order)
+        for ab, expected in oracle(f, pair, order).items():
+            assert sympy.expand(to_sympy(coeffs[ab]) - expected) == 0, ab
+        # (x_i - x_j)^a (y_i - y_j)^b vanishes to order a + b on the diagonal
+        assert not any(value for (ka, kb), value in coeffs.items() if ka + kb < a + b)
+        verdict = membership(f, IdealSpec(roots, order))[0]
+        assert verdict == (not any(coeffs.values()))
+        assert verdict or order > a + b
+        # a term whose x_i and y_i exponents clear to 0 adds to lane (0, 0) alone
+        clear = max([0] + [-xe[i] for (xe, _, _, _), _ in _exponent_items(f)])
+        bump = LaurentPoly.x(CTX2, i, -clear) * x(j, 7) * y(j, 5)
+        moved = taylor_pair(f + bump * sign, pair, order)
+        assert moved[0, 0] - coeffs[0, 0] == x(j, 7) * y(j, 5) * sign
+        assert all(moved[ab] == coeffs[ab] for ab in coeffs if ab != (0, 0))
+        if a + b:
+            ok, witness = membership(f + bump * sign, IdealSpec(roots, order))
+            assert not ok and witness["order"] == (0, 0)
+
+    check()
+
+
 def test_act_matrix_agrees_with_termwise_substitution():
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
@@ -858,6 +933,16 @@ def test_taylor_pair_reads_off_diagonal_orders():
     assert not orders[(0, 0)]
     assert orders[(0, 1)] == x(1)
     assert not orders[(1, 0)]
+
+
+def test_taylor_pair_rejects_indices_outside_the_rank():
+    f = x(0) * y(1) + 1
+    # (-1, 0) used to read as (1, 0), (0, -2) as x1 against itself, (0, 2) raised IndexError
+    for pair in ((-1, 0), (0, -2), (0, 2), (2, 0), (2, 2)):
+        with pytest.raises(ValueError, match=r"outside 0\.\.1"):
+            taylor_pair(f, pair, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        taylor_pair(f, (1, 1), 2)
 
 
 def test_taylor_pair_clears_laurent_denominators():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from diffalg.ideals import IdealSpec, Window, graded_dimension
-from diffalg.poly import LaurentPoly, VarContext
+from diffalg.poly import LaurentPoly, VarContext, monomial_key
 from diffalg.springer import (
     ChainModel,
     EquivaluedModule,
@@ -87,12 +87,55 @@ def test_action_gatekeeps_membership_and_isotypy():
     with pytest.raises(NotInIdeal) as info:
         module_act(LaurentPoly.one(CTX2), m, 1)
     assert info.value.witness is not None
-    with pytest.raises(NotInIdeal):
+    with pytest.raises(NotInIdeal, match=r"^algebra element is not sign\^1-isotypic$") as info:
         # symmetric but vanishing: in the ideal, wrong isotypic type for d=1
         module_act(ROOTS2.vandermonde(CTX2) ** 2, m, 1)
-    with pytest.raises(NotInIdeal):
-        # y1 - y2 is antisymmetric and first-order, but not sign^2-isotypic
+    assert info.value.witness is None
+    with pytest.raises(NotInIdeal, match=r"^algebra element is not in I\^\(2\)$"):
+        # y1 - y2 vanishes to first order only; membership is tested before isotypy
         module_act(ROOTS2.vandermonde(CTX2) ** 1, m, 2)
+    with pytest.raises(NotInIdeal, match=r"^algebra element is not sign\^2-isotypic$"):
+        # (y1 - y2)^3 is in I^(2) but antisymmetric, not sign^2-isotypic
+        module_act(ROOTS2.vandermonde(CTX2) ** 3, m, 2)
+
+
+def test_isotypy_test_agrees_with_projection():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    groups = [RootData.type_a(1), ROOTS2, RootData.type_a(3), RootData.b2(), RootData.g2()]
+
+    def polys(roots):
+        n = roots.rank
+        key = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.tuples(*[st.integers(0, 2)] * n))
+        coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+        terms = st.dictionaries(key, coeff, max_size=4).map(
+            lambda terms: {monomial_key(*key): c for key, c in terms.items()}
+        )
+        return st.tuples(st.just(roots), terms.map(lambda t: LaurentPoly(VarContext(n), t)))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.sampled_from(groups).flatmap(polys),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from(["raw", "projected", "cyclic"]),
+        st.integers(0, 11),
+    )
+    def check(roots_f, d, other_d, kind, index):
+        roots, f = roots_f
+        if kind == "projected":
+            f = roots.project(f, other_d)
+            assert roots.is_isotypic(f, other_d)
+        elif kind == "cyclic":
+            # the sum of f's orbit under one element: fixed by its cyclic group, rarely by all
+            w = roots.elements[index % len(roots.elements)]
+            orbit = [f]
+            while (g := roots.twist(w, orbit[-1], other_d)) != f:
+                orbit.append(g)
+            f = LaurentPoly.sum(f.ctx, orbit)
+        assert roots.is_isotypic(f, d) == (roots.project(f, d) == f)
+
+    check()
 
 
 def test_action_is_bilinear_and_composes():
