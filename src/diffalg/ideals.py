@@ -378,6 +378,10 @@ def graded_dimension(spec, d_isotypic, window):
 
     if spec.d > 0:
         clear = max(0, -window.x_min)
+        # u^a v^b has a nonzero coefficient only when a is at most the cleared
+        # x_r exponent and b the y_r exponent, so a + b <= x_max + clear + y_max:
+        # a higher order adds only zero coefficients, hence no rows.
+        top = min(spec.d, window.x_max + clear + window.y_max + 1)
         for r in range(n):
             for s in range(r + 1, n):
                 residual_rows = {}
@@ -385,7 +389,7 @@ def graded_dimension(spec, d_isotypic, window):
                 for t, mono in enumerate(monomials):
                     if clear:
                         mono = mono * unit
-                    coeffs = taylor_pair(mono, (r, s), spec.d)
+                    coeffs = taylor_pair(mono, (r, s), top)
                     for order, poly in coeffs.items():
                         for key, value in poly.terms.items():
                             row = residual_rows.setdefault(

@@ -1,10 +1,14 @@
 """Exact multivariate Laurent polynomial and rational function arithmetic.
 
-The coefficient field is the rationals: an integral coefficient is stored as
-an int and any other as a stdlib Fraction, never a float, and every division
-of coefficients goes through ``scalar_div``.  A polynomial lives in variables
+The coefficient field is the rationals.  A polynomial lives in variables
 x1..xn (Laurent, integer exponents of either sign), y1..yn (ordinary,
-nonnegative exponents), and two central parameters c and h.
+nonnegative exponents), and two central parameters c and h.  It is stored
+as c * p: its content c, a positive int or stdlib Fraction (never a float),
+and its primitive part p, a term dict of ints with gcd 1; zero is c = 1 and
+p empty.  As c > 0 the pair is unique, so equality and hashing compare it.
+Every kernel runs on p.  ``terms``, the canonical coefficient dict c * p
+(int when integral, else Fraction), is a view built on first read and
+cached; it must not be mutated.
 
 A term is stored under a key that packs its exponents into one int of 2n+2
 fields of 16 bits.  From the top down the fields hold y1..yn, x1..xn, c and
@@ -18,9 +22,9 @@ drops below 0 borrows from the field above and sets it too), and an
 exponent outside its range raises ValueError, be it given to
 ``monomial_key`` or made by a product, a power or a substitution.  The
 layout is private to this module; elsewhere keys are opaque, built by
-``monomial_key`` and read by ``key_exponents`` and ``term_degree``.  The
-canonical form never stores a zero coefficient, and the canonical term
-order is descending on the key.
+``monomial_key`` and read by ``key_exponents`` and ``term_degree``.  No
+zero coefficient is ever stored, and the canonical term order is
+descending on the key.
 
 Rational functions keep a factored denominator: a multiset of linear forms
 y_r - y_s + a*h + b*c with r < s.  Any sign flip needed to normalise a form
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import itemgetter, mul, or_
 
 
@@ -167,37 +171,62 @@ class TermSum(Immutable):
 
 
 class LaurentPoly(Immutable):
-    """Immutable exact polynomial; do not mutate .terms after construction."""
+    """Immutable exact polynomial, content times primitive part; see the module docstring."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_content", "_ints", "_terms", "_folds")
 
     def __init__(self, ctx, terms):
-        clean = {}
+        ints = {}
         for key, coeff in terms.items():
-            coeff = _as_scalar(coeff)
+            coeff = coeff if type(coeff) is int else _as_scalar(coeff)
             if coeff:
-                clean[key] = coeff
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
+                ints[key] = coeff
+        content = 1
+        if Fraction in map(type, ints.values()):
+            d = lcm(*[coeff.denominator for coeff in ints.values()])
+            ints = {key: coeff.numerator * (d // coeff.denominator) for key, coeff in ints.items()}
+            content = Fraction(1, d)
+        self._set(ctx, content, ints)
 
-    @classmethod
-    def _make(cls, ctx, terms):
-        """The polynomial that takes over terms, whose coefficients are canonical and nonzero."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "ctx", ctx)
-        object.__setattr__(out, "terms", terms)
-        return out
+    def _set(self, ctx, content, ints, primitive=False):
+        """Store content * ints (no zero value); unless primitive, the gcd of ints joins the content."""
+        if not primitive:
+            g = gcd(*ints.values())
+            if g > 1:
+                ints = {key: coeff // g for key, coeff in ints.items()}
+                content *= g
+        if not ints:
+            content = 1
+        elif type(content) is not int:
+            content = _as_scalar(content)
+        setattr = object.__setattr__
+        setattr(self, "ctx", ctx)
+        setattr(self, "_content", content)
+        setattr(self, "_ints", ints)
+        setattr(self, "_terms", ints if content == 1 else None)
+        setattr(self, "_folds", None)  # per-index folds of the exact_divide certificate
+
+    @property
+    def terms(self):
+        """The canonical coefficient dict, key -> int or Fraction; a cached view."""
+        terms = self._terms
+        if terms is None:
+            num, den = self._content.as_integer_ratio()
+            terms = {key: scalar_div(num * coeff, den) for key, coeff in self._ints.items()}
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, ctx):
-        return cls._make(ctx, {})
+        return _from_ints(ctx, {}, 1)
 
     @classmethod
     def const(cls, ctx, value):
         value = _as_scalar(value)
-        return cls._make(ctx, {_layout(ctx.n).one: value} if value else {})
+        ints = {_layout(ctx.n).one: 1 if value > 0 else -1} if value else {}
+        return _from_ints(ctx, ints, abs(value), True)
 
     @classmethod
     def one(cls, ctx):
@@ -205,22 +234,30 @@ class LaurentPoly(Immutable):
 
     @classmethod
     def sum(cls, ctx, values):
-        """The sum of a family over ctx, its terms added into one dict in one pass.
+        """The sum of a family over ctx, its int parts added into one dict in one pass.
 
-        Fraction-free: each summand is scaled by the lcm of all coefficient
-        denominators, and each output coefficient is divided once.
+        Fraction-free: with contents n_i / d_i, D the lcm of the d_i and G the
+        gcd of the m_i = n_i * D / d_i, summand i adds its int part times
+        m_i / G, and the sum is G / D times that dict after one gcd pass.
         """
         parts = []
         for value in values:
             _check_ctx(ctx, value.ctx)
-            parts.append(_integral_terms(value.terms))
-        d = lcm(*[di for di, _ in parts])  # a list, not a generator: see _integral_terms
+            if value._ints:
+                parts.append(value)
+        if len(parts) < 2:
+            return parts[0] if parts else cls.zero(ctx)
+        contents = [part._content for part in parts]
+        d = lcm(*[content.denominator for content in contents])
+        nums = [content.numerator * (d // content.denominator) for content in contents]
+        g = gcd(*nums)
         out = {}
-        for di, items in parts:
-            scale = d // di
-            for key, coeff in items:
-                out[key] = out.get(key, 0) + coeff * scale
-        return _from_ints(ctx, out, d)
+        get = out.get
+        for part, num in zip(parts, nums):
+            scale = num // g
+            for key, coeff in part._ints.items():
+                out[key] = get(key, 0) + coeff * scale
+        return _from_ints(ctx, out, Fraction(g, d) if d > 1 else g)
 
     @classmethod
     def monomial(cls, ctx, xe=None, ye=None, ce=0, he=0, coeff=1):
@@ -250,24 +287,24 @@ class LaurentPoly(Immutable):
     # -- basic queries -------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._ints)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.ctx, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self._content == other._content and self._ints == other._ints
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self._content, frozenset(self._ints.items())))
 
     def is_constant(self):
         one = _layout(self.ctx.n).one
-        return all(k == one for k in self.terms)
+        return all(k == one for k in self._ints)
 
     def constant_value(self):
-        return self.terms.get(_layout(self.ctx.n).one, 0)
+        return _as_scalar(self._content * self._ints.get(_layout(self.ctx.n).one, 0))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -281,7 +318,7 @@ class LaurentPoly(Immutable):
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._make(self.ctx, {k: -v for k, v in self.terms.items()})
+        return _from_ints(self.ctx, {k: -v for k, v in self._ints.items()}, self._content, True)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,22 +335,22 @@ class LaurentPoly(Immutable):
             other = _as_scalar(other)
             if not other:
                 return LaurentPoly.zero(self.ctx)
-            return LaurentPoly(self.ctx, {k: v * other for k, v in self.terms.items()})
+            ints = self._ints if other > 0 else {k: -v for k, v in self._ints.items()}
+            return _from_ints(self.ctx, ints, self._content * abs(other), True)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         _check_ctx(self.ctx, other.ctx)
-        # Fraction-free: int products of the lcm-scaled operands, one division each.
-        d1, left = _integral_terms(self.terms)
-        d2, right = _integral_terms(other.terms)
+        # Gauss's lemma: the product of the primitive parts is primitive
         one = _layout(self.ctx.n).one
+        right = list(other._ints.items())  # a list iterates faster than dict items
         out = {}
         get = out.get
-        for k1, c1 in left:
+        for k1, c1 in self._ints.items():
             k1 -= one
             for k2, c2 in right:
                 key = k1 + k2
                 out[key] = get(key, 0) + c1 * c2
-        return _from_ints(self.ctx, out, d1 * d2)
+        return _from_ints(self.ctx, out, self._content * other._content, True)
 
     __rmul__ = __mul__
 
@@ -341,28 +378,19 @@ def _check_ctx(ctx, other):
         raise ValueError(f"context mismatch: {ctx} vs {other}")
 
 
-def _integral_terms(terms):
-    """(d, items): d the lcm of the coefficient denominators, items the terms * d."""
-    if Fraction not in map(type, terms.values()):
-        return 1, terms.items()
-    # a list, not a generator: lcm(*generator) builds its argument tuple at a guessed
-    # size and resizes it, and each one freed stays in the interpreter's tuple free list
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
+def _from_ints(ctx, out, content, primitive=False):
+    """The polynomial content * out of the int-valued terms out; takes over out.
 
-
-def _from_ints(ctx, out, d):
-    """The polynomial of the int-valued terms out divided by d; takes over out.
-
+    ``primitive`` (out is primitive up to zero values) skips the gcd pass.
     Raises ValueError when a key of out has an exponent outside its field.
     """
     if reduce(or_, out, 0) & _layout(ctx.n).guard:
         raise ValueError(_RANGE_ERROR)
-    if d != 1:
-        out = {key: scalar_div(coeff, d) for key, coeff in out.items() if coeff}
-    elif 0 in out.values():
+    if 0 in out.values():
         out = {key: coeff for key, coeff in out.items() if coeff}
-    return LaurentPoly._make(ctx, out)
+    poly = object.__new__(LaurentPoly)
+    poly._set(ctx, content, out, primitive)
+    return poly
 
 
 def _unit_exponents(ctx, i, power):
@@ -471,12 +499,12 @@ def act_perm(w, f):
     ]
     keep = ~sum(_FIELD << src for src, _ in moves)
     out = {}
-    for key, coeff in f.terms.items():
+    for key, coeff in f._ints.items():
         moved = key & keep
         for src, dst in moves:
             moved |= (key >> src & _FIELD) << dst
         out[moved] = coeff
-    return LaurentPoly._make(f.ctx, out)
+    return _from_ints(f.ctx, out, f._content, True)
 
 
 def act_matrix(m, f):
@@ -499,7 +527,7 @@ def act_matrix(m, f):
     layout = _layout(ctx.n)
     powers = {}
     pieces = []
-    for key, coeff in f.terms.items():
+    for key, coeff in f._ints.items():
         xe = [(key >> shift & _FIELD) - _X_BIAS for shift in layout.xs]
         moved = layout.one + (key & _CH_FIELDS)
         for shift, row in zip(layout.xs, m):
@@ -507,7 +535,7 @@ def act_matrix(m, f):
             if not -_X_BIAS <= image < _X_BIAS:
                 raise ValueError(_RANGE_ERROR)
             moved += image << shift
-        piece = LaurentPoly._make(ctx, {moved: coeff})
+        piece = _from_ints(ctx, {moved: coeff}, f._content)
         for j, shift in enumerate(layout.ys):
             e = key >> shift & _FIELD
             if e:
@@ -519,13 +547,17 @@ def act_matrix(m, f):
 
 
 def shift_y(f, lam):
-    """Substitute y_i -> y_i + h * lam_i (x variables untouched)."""
+    """Substitute y_i -> y_i + h * lam_i (x variables untouched).
+
+    Raises ValueError unless every lam_i is an integer.  An integer shift is
+    an automorphism of the integer polynomial ring, so it keeps the content.
+    """
+    lam = [require_int(step, "a shift entry") for step in lam]
     if not any(lam):
         return f
     steps = [(shift, step) for shift, step in zip(_layout(f.ctx.n).ys, lam) if step]
-    d, items = _integral_terms(f.terms)
     out = {}
-    for key, coeff in items:
+    for key, coeff in f._ints.items():
         expanded = [(key, coeff)]
         for shift, step in steps:
             nxt = []
@@ -543,7 +575,7 @@ def shift_y(f, lam):
             expanded = nxt
         for cur, cur_coeff in expanded:
             out[cur] = out.get(cur, 0) + cur_coeff
-    return _from_ints(f.ctx, out, d)
+    return _from_ints(f.ctx, out, f._content, True)
 
 
 def act(g, f):
@@ -559,10 +591,14 @@ def act(g, f):
 
 
 def subst_params(f, c_sign=1, c_to_h=0, h_sign=1):
-    """Substitute c -> c_sign*c + c_to_h*h and h -> h_sign*h."""
-    d, items = _integral_terms(f.terms)
+    """Substitute c -> c_sign*c + c_to_h*h and h -> h_sign*h.
+
+    Raises ValueError unless the arguments are integers.  With unit signs it
+    is an automorphism of the integer polynomial ring and keeps the content.
+    """
+    c_sign, c_to_h, h_sign = map(require_int, (c_sign, c_to_h, h_sign), ("c_sign", "c_to_h", "h_sign"))
     out = {}
-    for key, coeff in items:
+    for key, coeff in f._ints.items():
         ce = key >> _C_SHIFT & _FIELD
         coeff *= h_sign ** (key & _FIELD)
         if ce == 0 or c_to_h == 0:
@@ -573,7 +609,7 @@ def subst_params(f, c_sign=1, c_to_h=0, h_sign=1):
             scale = comb(ce, k) * c_sign**k * c_to_h ** (ce - k)
             key = base + (k << _C_SHIFT) - k
             out[key] = out.get(key, 0) + coeff * scale
-    return _from_ints(f.ctx, out, d)
+    return _from_ints(f.ctx, out, f._content, c_sign in (1, -1) and h_sign in (1, -1))
 
 
 def perm_sign(w):
@@ -596,6 +632,8 @@ class LinearForm:
     b: int = 0
 
     def __post_init__(self):
+        for name in ("r", "s", "a", "b"):
+            require_int(getattr(self, name), name)
         if not self.r < self.s:
             raise ValueError("stored form requires r < s; use LinearForm.make")
 
@@ -658,62 +696,60 @@ def _cert_memo(n):
 def _vanishes_mod_p(f, form):
     """False when f is provably nonzero on the hyperplane of form.
 
-    Evaluates f modulo _CERT_PRIME at the base point with y_r moved onto
-    y_r = y_s - a*h - b*c.  True means the residue is 0, or that a
-    coefficient denominator is divisible by the prime, so there is none.
-    Numerators are summed per denominator, so each distinct denominator is
-    inverted once.  A monomial's residue is the memoised residue of its
-    other variables times the power of the moved y_r.  As coordinate k is
-    _CERT_BASE ** (k + 1), a monomial with exponents e_k has the residue
-    _CERT_BASE ** sum((k + 1) * e_k).
+    Evaluates the int part of f modulo _CERT_PRIME at the base point with
+    y_r moved onto y_r = y_s - a*h - b*c; True means the residue is 0.  The
+    coefficients are ints, so no denominator needs inverting.  f is first
+    folded, once per index r and kept on f, to the residues of its y_r-degree
+    pieces with y_r left free, which each further form with that r reuses.
+    A piece sums coeff times the memoised residue of the term's other
+    variables: as coordinate k is _CERT_BASE ** (k + 1), a monomial with
+    exponents e_k has the residue _CERT_BASE ** sum((k + 1) * e_k).
     """
-    p, base = _CERT_PRIME, _CERT_BASE
-    n = f.ctx.n
-    memo = _cert_memo(n)
-    if len(memo) >= _CERT_MEMO_CAP:
-        memo.clear()
+    p, base, n = _CERT_PRIME, _CERT_BASE, f.ctx.n
+    if f._folds is None:
+        object.__setattr__(f, "_folds", {})
+    fold = f._folds.get(form.r)
+    if fold is None:
+        memo = _cert_memo(n)
+        if len(memo) >= _CERT_MEMO_CAP:
+            memo.clear()
+        shift_r = _layout(n).ys[form.r]
+        others = ~(_FIELD << shift_r)
+        fold = {}
+        for key, coeff in f._ints.items():
+            fixed = key & others
+            rv = memo.get(fixed)
+            if rv is None:
+                xe, ye, ce, he = key_exponents(f.ctx, fixed)
+                weight = sum(k * e for k, e in enumerate(xe + ye + (ce, he), 1))
+                rv = memo[fixed] = pow(base, weight, p)
+            e = key >> shift_r & _FIELD
+            fold[e] = fold.get(e, 0) + coeff * rv
+        fold = f._folds[form.r] = {e: v % p for e, v in fold.items()}
     c, h = pow(base, 2 * n + 1, p), pow(base, 2 * n + 2, p)
     y_r = (pow(base, n + form.s + 1, p) - form.a * h - form.b * c) % p
-    shift_r = _layout(n).ys[form.r]
-    others = ~(_FIELD << shift_r)
-    y_r_powers, by_den = {}, {}
-    for key, coeff in f.terms.items():
-        num, den = coeff.as_integer_ratio()
-        fixed = key & others
-        rv = memo.get(fixed)
-        if rv is None:
-            xe, ye, ce, he = key_exponents(f.ctx, fixed)
-            weight = sum(k * e for k, e in enumerate(xe + ye + (ce, he), 1))
-            rv = memo[fixed] = pow(base, weight, p)
-        e = key >> shift_r & _FIELD
-        yv = y_r_powers.get(e)
-        if yv is None:
-            yv = y_r_powers[e] = pow(y_r, e, p)
-        by_den[den] = by_den.get(den, 0) + num * rv * yv
-    total = 0
-    for den, num in by_den.items():
-        if not den % p:
-            return True
-        total += num * pow(den, -1, p)
-    return total % p == 0
+    return sum(v * pow(y_r, e, p) for e, v in fold.items()) % p == 0
 
 
 def exact_divide(f, form):
     """Divide f by a linear form, returning the quotient or None.
 
     The form divides f exactly when f vanishes on its hyperplane
-    y_r = y_s - a*h - b*c.  So f is first evaluated modulo a prime at one
-    fixed point of that hyperplane.  If f were divisible, its rational value
-    there would be 0 and so would the residue; a nonzero residue therefore
-    proves non-divisibility, and None is returned at once.  A zero residue
-    (or a coefficient with no residue) proves nothing and always falls
+    y_r = y_s - a*h - b*c.  So the int part of f is first evaluated modulo
+    a prime at one fixed point of that hyperplane (``_vanishes_mod_p``).
+    If f were divisible, its value there would be 0 and so would the
+    residue; a nonzero residue therefore proves non-divisibility, and None
+    is returned at once.  A zero residue proves nothing and always falls
     through to the real division, so a quotient is only ever returned after
     an exact check.
 
-    The real division is synthetic division in y_r on the term dict: from the
-    top y_r-degree down, each term moves into the quotient one degree lower
-    and its multiple of (y_r - y_s + a*h + b*c) leaves the remainder.  The
-    division is exact when nothing of y_r-degree 0 remains.
+    The real division is synthetic division in y_r on the int part: from
+    the top y_r-degree down, each term moves into the quotient one degree
+    lower and its multiple of (y_r - y_s + a*h + b*c) leaves the remainder.
+    The division is exact when nothing of y_r-degree 0 remains.  The form is
+    monic in y_r, so the quotient has int coefficients, and by Gauss's
+    lemma it is primitive, as the form is and the dividend is; so the
+    quotient keeps the content of f.
     """
     if not f:
         return f
@@ -722,9 +758,8 @@ def exact_divide(f, form):
     layout = _layout(f.ctx.n)
     shift_r = layout.ys[form.r]
     moves = ((1 << layout.ys[form.s], 1), (1, -form.a), (1 << _C_SHIFT, -form.b))
-    d, items = _integral_terms(f.terms)
     by_degree = {}
-    for key, coeff in items:
+    for key, coeff in f._ints.items():
         by_degree.setdefault(key >> shift_r & _FIELD, {})[key] = coeff
     quotient = {}
     for k in range(max(by_degree), 0, -1):
@@ -740,7 +775,7 @@ def exact_divide(f, form):
                     lower[key + move] = lower.get(key + move, 0) + scale * coeff
     if any(by_degree[0].values()):
         return None
-    return _from_ints(f.ctx, quotient, d)
+    return _from_ints(f.ctx, quotient, f._content, True)
 
 
 def _times_forms(f, forms):
@@ -944,13 +979,13 @@ def taylor_pair(f, pair, order):
     if i == j:
         raise ValueError("pair must be distinct indices")
     buckets = {(a, b): {} for a in range(order) for b in range(order - a)}
-    d, items = _integral_terms(f.terms)
-    if f.terms and order:
+    items = f._ints.items()
+    if items and order:
         layout = _layout(n)
         xi, xj, yi, yj = layout.xs[i], layout.xs[j], layout.ys[i], layout.ys[j]
         # key & mask holds a term's x_i and y_i fields, which fix its shift and V
         mask = (_FIELD << xi) | (_FIELD << yi)
-        fields = set(map(mask.__and__, f.terms))
+        fields = set(map(mask.__and__, f._ints))
         xfields = {pq >> xi & _FIELD for pq in fields}
         yfields = {pq >> yi & _FIELD for pq in fields}
         clear = max(0, _X_BIAS - min(xfields))
@@ -989,7 +1024,7 @@ def taylor_pair(f, pair, order):
                     c = (g >> at & lane) - half
                     if c:
                         bucket[base - offset] = c
-    return {ab: _from_ints(f.ctx, bucket, d) for ab, bucket in buckets.items()}
+    return {ab: _from_ints(f.ctx, bucket, f._content) for ab, bucket in buckets.items()}
 
 
 # -- text form ------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from diffalg import ideals
 from diffalg.ideals import (
     IdealSpec,
     PlaneSubset,
@@ -24,7 +25,7 @@ from diffalg.ideals import (
     verify_spanning,
     y_exponents,
 )
-from diffalg.poly import LaurentPoly, VarContext, parse_poly, poly_to_text
+from diffalg.poly import LaurentPoly, VarContext, parse_poly, poly_to_text, taylor_pair
 from diffalg.weyl import RootData
 from diffalg.zalg import class_commutative
 
@@ -169,6 +170,25 @@ def test_vandermonde_is_alternating(roots):
 
 def test_graded_dimension_wider_y_window():
     assert graded_dimension(IdealSpec(ROOTS2, 1), 1, Window(0, 1, 2)).dimension == 10
+
+
+def test_taylor_order_is_capped_at_the_window_degree(monkeypatch):
+    # a window polynomial, after clearing, has degree at most x_max + clear + y_max
+    # in (x_r, y_r), so a higher order could only add zero coefficients
+    orders = []
+
+    def spy(f, pair, order):
+        orders.append(order)
+        return taylor_pair(f, pair, order)
+
+    monkeypatch.setattr(ideals, "taylor_pair", spy)
+    for window in (NARROW, Window(-1, 1, 1)):
+        cap = window.x_max + max(0, -window.x_min) + window.y_max + 1
+        orders.clear()
+        deep = graded_dimension(IdealSpec(ROOTS2, 60), 0, window)
+        assert orders and max(orders) <= cap
+        at_cap = graded_dimension(IdealSpec(ROOTS2, cap), 0, window)
+        assert (deep.columns, deep.basis) == (at_cap.columns, at_cap.basis)
 
 
 def test_slice_members_actually_belong_to_the_ideal():

@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -74,6 +74,27 @@ def test_float_coefficients_are_rejected():
         lambda: poly.scalar_div(1, 2.0),
     ):
         with pytest.raises(TypeError):
+            make()
+
+
+def test_substitutions_reject_non_integer_arguments():
+    # each of these used to store a float or non-integral shift in a coefficient or form
+    f = x(0) * y(0) * LaurentPoly.c(CTX2) - y(1) + 3
+    rf = RationalFunction(f, [LinearForm(0, 1)])
+    for make in (
+        lambda: shift_y(f, (0.5, 0)),
+        lambda: shift_y(f, (Fraction(1, 2), 0)),
+        lambda: act(((1, 0), (0.25, 0)), f),
+        lambda: subst_params(f, c_to_h=0.5),
+        lambda: subst_params(f, c_sign=1.0),
+        lambda: subst_params(f, h_sign=Fraction(-1)),
+        lambda: rf.act(((0, 1), (0.5, 0))),
+        lambda: rf.subst_c(c_to_h=Fraction(1, 2)),
+        lambda: LinearForm(0, 1, 0.5),
+        lambda: LinearForm(0, 1, 0, Fraction(1, 2)),
+        lambda: LinearForm(0.0, 1),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
             make()
 
 
@@ -646,6 +667,11 @@ def test_operations_keep_coefficients_canonical():
         results.extend(taylor_pair(f, (0, 1), 3).values())
         for result in results:
             assert all(map(_is_canonical, result.terms.values())), result.terms
+            # the stored pair is the normal form: positive content, primitive int part
+            rebuilt = LaurentPoly(result.ctx, result.terms)
+            assert rebuilt == result and hash(rebuilt) == hash(result)
+            assert result._content > 0
+            assert gcd(*result._ints.values()) == (1 if result else 0)
 
     check()
 
@@ -673,14 +699,15 @@ def test_scalar_div_is_exact():
     check()
 
 
-def test_certificate_falls_through_when_a_denominator_is_the_prime():
+def test_certificate_proves_a_miss_whose_denominator_is_the_prime():
+    # the certificate reads the int part, so no denominator reaches it
     form = LinearForm(0, 1, 2, -1)
     g = LaurentPoly.x(CTX2, 0, -1) * Fraction(1, poly._CERT_PRIME) + y(1)
     f = form.to_poly(CTX2) * g
     assert poly._vanishes_mod_p(f, form)
     assert exact_divide(f, form) == g
     miss = y(0) * g
-    assert poly._vanishes_mod_p(miss, form)
+    assert not poly._vanishes_mod_p(miss, form)
     assert exact_divide(miss, form) is None
 
 
@@ -849,11 +876,17 @@ def test_fast_paths_agree_with_the_full_constructor():
 
 def test_certificate_memo_is_bounded_and_changes_no_verdict(monkeypatch):
     form = LinearForm(0, 1, 1, -1)
-    hit = form.to_poly(CTX2) * parse_poly("x1^-1*y1^2 + 3/2*c*h*y2 - x2", CTX2)
-    miss = hit + x(0)
+
+    def build():
+        hit = form.to_poly(CTX2) * parse_poly("x1^-1*y1^2 + 3/2*c*h*y2 - x2", CTX2)
+        return hit, hit + x(0)
+
+    hit, miss = build()
     want = [exact_divide(hit, form), exact_divide(miss, form)]
     assert want[0] is not None and want[1] is None
     monkeypatch.setattr(poly, "_CERT_MEMO_CAP", 2)
+    # equal polynomials built afresh carry no certificate fold, so they go through the memo
+    hit, miss = build()
     assert [exact_divide(hit, form), exact_divide(miss, form)] == want
     # cleared on reaching the cap, the memo then holds at most one call's terms
     assert len(poly._cert_memo(2)) < 2 + len(miss.terms)
@@ -880,9 +913,21 @@ def test_fraction_free_product_agrees_with_fraction_pairs():
         assert product.terms == {key: c for key, c in want.items() if c}
         assert all(map(_is_canonical, product.terms.values()))
 
+    def check_sum(f, g, k):
+        # mixed scales give the summands contents with different denominators
+        scales = (Fraction(-2, 3), 1, Fraction(5, 4))
+        want = {}
+        for p, s in zip((f, g, k), scales):
+            for key, c in p.terms.items():
+                want[key] = want.get(key, 0) + Fraction(c) * s
+        total = LaurentPoly.sum(f.ctx, [p * s for p, s in zip((f, g, k), scales)])
+        assert total.terms == {key: c for key, c in want.items() if c}
+        assert all(map(_is_canonical, total.terms.values()))
+
     for ctx in (VarContext(1), CTX2, CTX3):
         polys = _random_poly_strategy(st, ctx)
         _hypothesis_settings(hypothesis)(hypothesis.given(polys, polys)(check))()
+        _hypothesis_settings(hypothesis)(hypothesis.given(polys, polys, polys)(check_sum))()
 
 
 def test_automorphisms_and_unshared_forms_skip_cancellation(monkeypatch):
