@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from . import daha
 from .ideals import (
+    WINDOW_CAP,
     IdealSpec,
     PlaneSubset,
     Window,
@@ -735,6 +736,9 @@ def _cmd_dims(args):
     window = Window(args.xmin, args.xmax, args.ymax)
     window.check_size(args.rank)
     if args.kind == "A":
+        order = math.factorial(args.rank)
+        if order > WINDOW_CAP:
+            raise InvalidRank(f"the Weyl group of A{args.rank} has {order} elements (cap {WINDOW_CAP})")
         roots = RootData.type_a(args.rank)
     else:
         roots = RootData.b2() if args.kind == "B2" else RootData.g2()

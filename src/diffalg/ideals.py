@@ -14,20 +14,21 @@ the grouped rows (bialternant form) and reports the proportionality scalar.
 
 ``graded_dimension`` computes exact bases of windowed slices of e_d I^(d)
 (sign-power isotypic part intersected with the symbolic power) by solving
-the linear conditions over the rationals, and ``verify_spanning`` compares
-the slice with the span of the commutative-limit classes from
-:mod:`diffalg.zalg`.
+the linear conditions exactly, as sparse rows over the window monomials
+that ``rref`` reduces fraction-free, and ``verify_spanning`` compares the
+slice with the span of the commutative-limit classes from :mod:`diffalg.zalg`.
 """
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .poly import (
     Immutable,
     LaurentPoly,
     LinearForm,
     VarContext,
+    _as_scalar,
     exact_divide,
     monomial_key,
     perm_sign,
@@ -48,62 +49,76 @@ class WindowTooLarge(ValueError):
     """Raised when a window has more than WINDOW_CAP monomials."""
 
 
-# Largest window graded_dimension accepts; it bounds the width of the dense
-# row reduction.
+# Largest window graded_dimension accepts: it bounds the monomials, which are
+# the columns of the constraint rows.
 WINDOW_CAP = 6000
 
 
 # -- exact linear algebra ---------------------------------------------------
 
 
-def rref(rows):
-    """Row-reduce exact rows (int and Fraction entries); returns (rows, pivots).
+def _primitive(row):
+    """The int row without its zero entries, divided by the gcd of the rest."""
+    row = {col: v for col, v in row.items() if v}
+    g = gcd(*row.values())
+    return {col: v // g for col, v in row.items()} if g > 1 else row
 
-    The input rows are copied; the output rows are the nonzero rows of the
-    reduced row echelon form and pivots maps pivot column -> row index.
+
+def _combine(row, pivot, col):
+    """The primitive combination of two int rows that clears column col."""
+    g = gcd(row[col], pivot[col])
+    a, b = pivot[col] // g, row[col] // g
+    out = {c: a * v for c, v in row.items()}
+    for c, v in pivot.items():
+        out[c] = out.get(c, 0) - b * v
+    return _primitive(out)
+
+
+def rref(rows):
+    """Row-reduce sparse rows {column: int or Fraction}; returns (rows, pivots).
+
+    Fraction-free: each row is cleared of denominators once into a primitive
+    int row (an entry that is not an int or a Fraction raises TypeError) and
+    eliminated on its lowest column against the rows kept so far; the kept
+    rows are then back-substituted from the highest pivot down, and only the
+    final scaling to a leading 1 divides.  The output rows are the nonzero
+    rows of the unique reduced row echelon form, without zero entries, and
+    pivots maps pivot column -> row index.
     """
-    rows = [list(row) for row in rows if any(row)]
-    pivots = {}
-    row_at = 0
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        pivot = None
-        for r in range(row_at, len(rows)):
-            if rows[r][col]:
-                pivot = r
+    echelon = {}  # pivot column -> primitive int row with that lowest column
+    for row in rows:
+        row = {col: _as_scalar(v) for col, v in row.items()}
+        den = lcm(*[v.denominator for v in row.values()])
+        row = _primitive({col: v.numerator * (den // v.denominator) for col, v in row.items()})
+        while row:
+            col = min(row)
+            if col not in echelon:
+                echelon[col] = row
                 break
-        if pivot is None:
-            continue
-        rows[row_at], rows[pivot] = rows[pivot], rows[row_at]
-        lead = rows[row_at][col]
-        rows[row_at] = [scalar_div(v, lead) for v in rows[row_at]]
-        for r in range(len(rows)):
-            if r != row_at and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row_at])]
-        pivots[col] = row_at
-        row_at += 1
-        if row_at == len(rows):
-            break
-    return [row for row in rows[:row_at]], pivots
+            row = _combine(row, echelon[col], col)
+    for col in sorted(echelon, reverse=True):
+        row = echelon[col]
+        for c in [c for c in row if c != col and c in echelon]:
+            row = _combine(row, echelon[c], c)
+        echelon[col] = row
+    order = sorted(echelon)
+    reduced = [{c: scalar_div(v, echelon[col][col]) for c, v in echelon[col].items()} for col in order]
+    return reduced, {col: t for t, col in enumerate(order)}
 
 
 def nullspace(rows, width):
-    """Basis of the kernel of the given exact constraint rows."""
+    """Kernel basis of sparse exact rows: one {column: value} per free column."""
     reduced, pivots = rref(rows)
-    free = [col for col in range(width) if col not in pivots]
-    basis = []
-    for col in free:
-        vec = [0] * width
-        vec[col] = 1
-        for pcol, prow in pivots.items():
-            vec[pcol] = -reduced[prow][col]
-        basis.append(vec)
-    return basis
+    basis = {col: {col: 1} for col in range(width) if col not in pivots}
+    for pcol, prow in pivots.items():
+        for col, value in reduced[prow].items():
+            if col != pcol:
+                basis[col][pcol] = -value
+    return list(basis.values())
 
 
 def span_dimension(vectors):
-    """Rank of a list of exact vectors (int and Fraction entries)."""
+    """Rank of a list of sparse exact vectors {column: value}."""
     reduced, _ = rref(vectors)
     return len(reduced)
 
@@ -357,24 +372,15 @@ def graded_dimension(spec, d_isotypic, window):
     n = roots.rank
     ctx = VarContext(n)
     keys = window.monomial_keys(n)
-    index = {key: t for t, key in enumerate(keys)}
     monomials = [LaurentPoly(ctx, {key: 1}) for key in keys]
-    width = len(keys)
-    constraints = []
+    # one sparse row per condition; the order of the rows cannot change the RREF
+    rows = {}
 
     if d_isotypic is not None:
-        targets = {}
+        # the coefficient of each term key in project(mono) - mono vanishes
         for t, mono in enumerate(monomials):
-            for key, value in roots.project(mono, d_isotypic).terms.items():
-                targets.setdefault(key, {})[t] = value
-        for tkey in sorted(targets.keys() | index.keys()):
-            row = [0] * width
-            for t, value in targets.get(tkey, {}).items():
-                row[t] += value
-            if tkey in index:
-                row[index[tkey]] -= 1
-            if any(row):
-                constraints.append(row)
+            for key, value in (roots.project(mono, d_isotypic) - mono).terms.items():
+                rows.setdefault(key, {})[t] = value
 
     if spec.d > 0:
         clear = max(0, -window.x_min)
@@ -382,27 +388,18 @@ def graded_dimension(spec, d_isotypic, window):
         # x_r exponent and b the y_r exponent, so a + b <= x_max + clear + y_max:
         # a higher order adds only zero coefficients, hence no rows.
         top = min(spec.d, window.x_max + clear + window.y_max + 1)
-        for r in range(n):
-            for s in range(r + 1, n):
-                residual_rows = {}
-                unit = LaurentPoly.x(ctx, r, clear)
-                for t, mono in enumerate(monomials):
-                    if clear:
-                        mono = mono * unit
-                    coeffs = taylor_pair(mono, (r, s), top)
-                    for order, poly in coeffs.items():
-                        for key, value in poly.terms.items():
-                            row = residual_rows.setdefault(
-                                (order, key), [0] * width
-                            )
-                            row[t] += value
-                for rkey in sorted(residual_rows):
-                    constraints.append(residual_rows[rkey])
+        for r, s in itertools.combinations(range(n), 2):
+            unit = LaurentPoly.x(ctx, r, clear)
+            for t, mono in enumerate(monomials):
+                if clear:
+                    mono = mono * unit
+                for order, poly in taylor_pair(mono, (r, s), top).items():
+                    for key, value in poly.terms.items():
+                        rows.setdefault(((r, s), order, key), {})[t] = value
 
-    basis_vectors = nullspace(constraints, width)
     basis = [
-        LaurentPoly(ctx, {keys[t]: value for t, value in enumerate(vec) if value})
-        for vec in basis_vectors
+        LaurentPoly(ctx, {keys[t]: value for t, value in vec.items()})
+        for vec in nullspace(list(rows.values()), len(keys))
     ]
     return GradedSlice(keys, basis)
 
@@ -475,11 +472,8 @@ def verify_spanning(n, d, window):
         if not ok:
             failures.append({"lam": lam, "dressing": ye, "witness": witness})
             continue
-        row = [0] * len(index)
-        for key, value in poly.terms.items():
-            row[index[key]] = value
-        vectors.append(row)
-    span_dim = span_dimension(vectors) if vectors else 0
+        vectors.append({index[key]: value for key, value in poly.terms.items()})
+    span_dim = span_dimension(vectors)
     return {
         "ok": not failures and span_dim == slice_.dimension,
         "span_dim": span_dim,

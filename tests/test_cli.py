@@ -219,8 +219,12 @@ def test_dims_subcommand_prints_pinned_dimension(capsys):
         ("--rank 2 --d 0 --kind B2 --xmin -1 --xmax 1 --ymax 2 --plain", "33b18b4e9c2e30aaa000008bb3ff70f244e9e9989913c003976426af52aa097d"),
         # a group acting by matrices that are not permutations
         ("--rank 2 --d 0 --kind G2 --xmin -1 --xmax 1 --ymax 3", "e91dcc280169cb0e7726e61269b7e96a0ad01a15155397b7546e184f356230da"),
+        # rank-3 slices; digests taken from the dense Fraction elimination
+        ("--rank 3 --d 1 --xmin 0 --xmax 2 --ymax 4", "a400c2d76922c7df0795919baec149307d01b0f136bffd131fdc14a332b4cabb"),
+        ("--rank 3 --d 1 --xmin 0 --xmax 3 --ymax 4", "7a4908ca78be632712ea8fba6340f12cd8b35c3b46295bbda6761c91e48a1ddc"),
+        ("--rank 3 --d 2 --xmin 0 --xmax 2 --ymax 5", "1edd0a2a004c63f2027b792573f16b9fb582d0f6991cbe1dad5a6a4eb5f61e28"),
     ],
-    ids=["taylor", "negative-xmin", "column-order", "g2"],
+    ids=["taylor", "negative-xmin", "column-order", "g2", "rank3-d1-x2", "rank3-d1-x3", "rank3-d2-y5"],
 )
 def test_dims_basis_listing_is_pinned(capsys, args, digest):
     assert main(["dims", *args.split(), "--basis"]) == 0
@@ -315,6 +319,16 @@ def test_dims_rejects_a_large_window_before_building_the_group(capsys, monkeypat
     assert capsys.readouterr().err == "error: window has 67584 monomials (cap 6000)\n"
 
 
+def test_dims_rejects_a_large_weyl_group_before_building_it(capsys, monkeypatch):
+    # a one-monomial window passes the window check, but S_8 has 40320 elements
+    def refuse(n):
+        raise AssertionError("the Weyl group was built")
+
+    monkeypatch.setattr(RootData, "type_a", staticmethod(refuse))
+    assert main(["dims", "--rank", "8", "--xmax", "0", "--ymax", "0", "--d", "0"]) == 2
+    assert capsys.readouterr().err == "error: the Weyl group of A8 has 40320 elements (cap 6000)\n"
+
+
 def test_python_dash_m_runs_the_cli_without_warnings():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -332,13 +346,14 @@ def test_python_dash_m_runs_the_cli_without_warnings():
 
 def test_full_run_row_reduces_exact_scalars_only(monkeypatch):
     # LaurentPoly construction rejects floats itself; the row-reduction
-    # matrices are plain lists and bypass it.
+    # rows are plain dicts {column: value} and bypass it.
     original = ideals.rref
     seen = []
 
     def check_entries(rows):
         for row in rows:
-            for value in row:
+            assert all(type(col) is int for col in row), f"non-int column in {row!r}"
+            for value in row.values():
                 assert type(value) in (int, Fraction), f"inexact entry {value!r}"
 
     def checked_rref(rows):

@@ -49,13 +49,22 @@ def test_row_reduction_is_exact():
         [Fraction(1), Fraction(6)],
         [Fraction(2, 3), Fraction(4)],
     ]
+    rows = [dict(enumerate(row)) for row in rows]
     reduced, pivots = rref(rows)
     assert len(reduced) == 1
     assert pivots == {0: 0}
     assert span_dimension(rows) == 1
-    kernel = nullspace([[Fraction(1), Fraction(2)]], 2)
+    kernel = nullspace([{0: Fraction(1), 1: Fraction(2)}], 2)
     assert len(kernel) == 1
     assert kernel[0][0] + 2 * kernel[0][1] == 0
+
+
+def test_row_reduction_rejects_floats():
+    # a float must raise even where it would cancel to zero or look integral
+    with pytest.raises(TypeError):
+        rref([{0: 1, 1: 0.5}])
+    with pytest.raises(TypeError):
+        rref([{0: 1, 1: 2}, {0: 2, 1: 4.0}])
 
 
 def test_ideal_spec_validation():

@@ -27,7 +27,7 @@ from diffalg.poly import (
     term_degree,
 )
 from diffalg.daha import DiffReflOp
-from diffalg.ideals import GradedSlice, IdealSpec, PlaneSubset, Window, membership, span_dimension
+from diffalg.ideals import GradedSlice, IdealSpec, PlaneSubset, Window, membership, rref, span_dimension
 from diffalg.springer import ChainModel, EquivaluedModule
 from diffalg.weyl import RootData
 from diffalg.zalg import AbelianMatter, class_localized, r_generator, split_coweight
@@ -614,7 +614,60 @@ def test_span_dimension_agrees_with_sympy_rank():
     @hypothesis.given(matrix)
     def check(rows):
         rows = [[Fraction(value) for value in row] for row in rows]
-        assert span_dimension(rows) == sympy.Matrix(rows).rank()
+        assert span_dimension([dict(enumerate(row)) for row in rows]) == sympy.Matrix(rows).rank()
+
+    check()
+
+
+def _dense_rref(rows, width):
+    """Plain Gauss-Jordan over Fraction on dense rows: (nonzero rows, pivot column -> row)."""
+    rows = [[Fraction(row.get(col, 0)) for col in range(width)] for row in rows]
+    pivots, at = {}, 0
+    for col in range(width):
+        pivot = next((r for r in range(at, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[at], rows[pivot] = rows[pivot], rows[at]
+        rows[at] = [value / rows[at][col] for value in rows[at]]
+        for r in range(len(rows)):
+            if r != at and rows[r][col]:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[at])]
+        pivots[col] = at
+        at += 1
+    return rows[:at], pivots
+
+
+def test_sparse_rref_agrees_with_dense_gauss_jordan():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-5, 5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    )
+
+    def sparse_rows(width):
+        row = st.dictionaries(st.integers(0, width - 1), entry, max_size=6)
+        # repeat some rows to get duplicates and dependent rows
+        return st.lists(row, max_size=12).flatmap(
+            lambda rows: st.lists(st.sampled_from(rows or [{}]), max_size=4).map(lambda extra: rows + extra)
+        )
+
+    matrix = st.integers(1, 30).flatmap(lambda width: st.tuples(st.just(width), sparse_rows(width)))
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(matrix)
+    def check(case):
+        width, rows = case
+        before = [dict(row) for row in rows]
+        reduced, pivots = rref(rows)
+        assert rows == before
+        dense, dense_pivots = _dense_rref(rows, width)
+        assert pivots == dense_pivots
+        assert reduced == [{col: value for col, value in enumerate(row) if value} for row in dense]
+        for row in reduced:
+            # canonical nonzero scalars: int when integral, else Fraction
+            assert all(value and (type(value) is int or value.denominator > 1) for value in row.values())
 
     check()
 
