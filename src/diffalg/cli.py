@@ -771,7 +771,7 @@ def main(argv=None):
         if args.command == "dims":
             return _cmd_dims(args)
         return _cmd_eval(args)
-    except (ValueError, OSError) as exc:  # bad input or files: one line, no traceback
+    except (ValueError, OSError, RecursionError) as exc:  # bad input or files: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

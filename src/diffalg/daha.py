@@ -21,6 +21,10 @@ Words in these generators support the degree-reversing anti-involution
 phi(sigma_i) = -sigma_{n-i}, phi(y_i) = y_{n+1-i}, phi(pi) = pi, which sends
 h to -h on explicit scalar coefficients.
 
+The symmetrizer and its phi-image average g_w over S_n for generators g_i
+(sigma_i, or tau_i = -sigma_{n-i}) satisfying the Coxeter relations, built
+coset by coset from the g_i (``_average``) rather than word by word.
+
 The parameter shift c -> c + m*h fixes y and h, so it commutes with every
 group action act((w, lam), .) and is an algebra automorphism of these
 operators (``DiffReflOp.subst_c``).  An operator at the shifted parameter is
@@ -54,7 +58,6 @@ from .weyl import (
     perm_inv,
     perm_mul,
     perm_on_vector,
-    reduced_word,
     transposition,
 )
 
@@ -83,6 +86,10 @@ class DiffReflOp(TermSum):
     def identity(cls, ctx):
         key = (identity_perm(ctx.n), (0,) * ctx.n)
         return cls(ctx, {key: RationalFunction.one(ctx)})
+
+    @classmethod
+    def sum(cls, ctx, ops):
+        return cls(ctx, sum_by_key(chain.from_iterable(op.terms.items() for op in ops)))
 
     def __mul__(self, scalar):
         """Left multiplication by a scalar, polynomial, or rational function."""
@@ -204,9 +211,26 @@ def op_pi_inv(ctx):
     return DiffReflOp(ctx, {(w_inv, lam): RationalFunction.one(ctx)})
 
 
+def _average(ctx, gens):
+    """(1/n!) sum_w g_w over S_n, for gens g_1..g_(n-1) satisfying the Coxeter relations.
+
+    Built coset by coset: every w in S_(k+1) is uniquely w' c with w' in S_k
+    and c in {1, s_k, s_k s_(k-1), ..., s_k ... s_1}, and the lengths add, so
+    g_w = g_w' g_c.
+    """
+    total = DiffReflOp.identity(ctx)
+    for k, g in enumerate(gens):
+        reps = [g]
+        for earlier in reversed(gens[:k]):
+            reps.append(reps[-1].compose(earlier))
+        tail = DiffReflOp.sum(ctx, reps)
+        total = DiffReflOp.sum(ctx, [total, total.compose(tail) if k else tail])
+    return total * Fraction(1, factorial(ctx.n))
+
+
 def op_symmetrizer(ctx):
     """Average of sigma_w over the symmetric group (an idempotent)."""
-    return evaluate_word_sum(ctx, symmetrizer_word_sum(ctx.n))
+    return _average(ctx, [op_sigma(ctx, i) for i in range(ctx.n - 1)])
 
 
 def op_plain_symmetrizer(ctx):
@@ -269,7 +293,7 @@ def parse_word(text, ctx):
             tokens.append(("pi", 1))
         elif piece == "pi^-1":
             tokens.append(("pi", -1))
-        elif piece and piece[0] in "sy" and piece[1:].isdigit():
+        elif piece and piece[0] in "sy" and piece[1:].isascii() and piece[1:].isdigit():
             index = int(piece[1:])
             limit = ctx.n - 1 if piece[0] == "s" else ctx.n
             if not 1 <= index <= limit:
@@ -300,11 +324,6 @@ def evaluate_word(ctx, word):
     return out
 
 
-def evaluate_word_sum(ctx, word_sum):
-    ops = [evaluate_word(ctx, word) * coeff for coeff, word in word_sum]
-    return DiffReflOp(ctx, sum_by_key(chain(*(op.terms.items() for op in ops))))
-
-
 def phi_word(word, n):
     """Anti-involution on a word: reverse, s_i -> -s_{n-i}, y_i -> y_{n+1-i}.
 
@@ -327,21 +346,6 @@ def phi_word(word, n):
         else:
             raise ValueError(f"unknown token {token!r}")
     return sign, tuple(out)
-
-
-def phi_word_sum(word_sum, n):
-    out = []
-    for coeff, word in word_sum:
-        sign, new_word = phi_word(word, n)
-        out.append((coeff * sign, new_word))
-    return out
-
-
-def symmetrizer_word_sum(n):
-    scale = Fraction(1, factorial(n))
-    return [
-        (scale, tuple(("s", i) for i in reduced_word(w))) for w in all_perms(n)
-    ]
 
 
 def x_word(n, i):
@@ -481,9 +485,11 @@ def phi_image_op(ctx, m):
 
     phi reverses words, and the sandwich is a palindrome of sums, so the
     image factors as phi(symmetrizer) o phi(middle) o phi(symmetrizer).
+    phi sends sigma_w to tau_(w^-1) with tau_i = -sigma_(n-i), and the tau_i
+    satisfy the Coxeter relations, so phi(symmetrizer) is the tau-average.
     """
     n = ctx.n
-    phi_e = evaluate_word_sum(ctx, phi_word_sum(symmetrizer_word_sum(n), n))
+    phi_e = _average(ctx, [-op_sigma(ctx, n - 2 - i) for i in range(n - 1)])
     out = phi_e
     if m:
         sign, middle = phi_word(x_omega_word(n, m), n)

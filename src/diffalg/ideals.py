@@ -377,10 +377,11 @@ def graded_dimension(spec, d_isotypic, window):
     rows = {}
 
     if d_isotypic is not None:
-        # the coefficient of each term key in project(mono) - mono vanishes
+        # for each simple reflection s, each term key's coefficient in twist(s, f) - f vanishes
         for t, mono in enumerate(monomials):
-            for key, value in (roots.project(mono, d_isotypic) - mono).terms.items():
-                rows.setdefault(key, {})[t] = value
+            for g, s in enumerate(roots.simple):
+                for key, value in (roots.twist(s, mono, d_isotypic) - mono).terms.items():
+                    rows.setdefault((g, key), {})[t] = value
 
     if spec.d > 0:
         clear = max(0, -window.x_min)

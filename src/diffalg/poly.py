@@ -1098,7 +1098,7 @@ class _Parser:
         if allow_sign and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             self.pos = start
@@ -1110,7 +1110,7 @@ class _Parser:
         ch = self.peek()
         if not ch:
             self.error("expected a number, variable, or '('")
-        if ch.isdigit():
+        if ch in "0123456789":
             numer = self.take_int()
             if self.peek() == "/":
                 self.pos += 1

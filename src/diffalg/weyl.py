@@ -56,24 +56,6 @@ def perm_on_vector(w, lam):
     return tuple(out)
 
 
-def reduced_word(w):
-    """A reduced word in adjacent transpositions, as a list of indices."""
-    w = list(w)
-    n = len(w)
-    word = []
-    # bubble the permutation back to the identity, recording swaps
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            if w[i] > w[i + 1]:
-                w[i], w[i + 1] = w[i + 1], w[i]
-                word.append(i)
-                changed = True
-    word.reverse()
-    return word
-
-
 # -- integer root data ---------------------------------------------------
 
 
@@ -130,49 +112,46 @@ class RootData:
     """Integer realisation of a finite reflection group on rank variables.
 
     kind is "A", "B2", or "G2".  elements holds every group element as an
-    integer matrix; positive_roots holds coefficient vectors of the positive
-    root linear forms in the y variables.
+    integer matrix; simple holds the simple reflections, which generate the
+    group, in the same convention; positive_roots holds coefficient vectors
+    of the positive root linear forms in the y variables.
     """
 
     kind: str
     rank: int
     elements: tuple
     positive_roots: tuple
+    simple: tuple
 
     @staticmethod
     @cache
     def type_a(n):
-        mats = []
-        for w in itertools.permutations(range(n)):
-            mats.append(
-                tuple(
-                    tuple(1 if w[j] == i else 0 for j in range(n)) for i in range(n)
-                )
-            )
-        roots = []
-        for r in range(n):
-            for s in range(r + 1, n):
-                vec = [0] * n
-                vec[r], vec[s] = 1, -1
-                roots.append(tuple(vec))
-        return RootData("A", n, tuple(sorted(mats)), tuple(roots))
+        def matrix(w):
+            return tuple(tuple(int(w[j] == i) for j in range(n)) for i in range(n))
+
+        # enumerated directly: closing the generators is far slower at high rank
+        mats = tuple(sorted(map(matrix, itertools.permutations(range(n)))))
+        simple = tuple(matrix(transposition(n, i)) for i in range(n - 1))
+        roots = tuple(
+            tuple(int(t == r) - int(t == s) for t in range(n))
+            for r, s in itertools.combinations(range(n), 2)
+        )
+        return RootData("A", n, mats, roots, simple)
 
     @staticmethod
     @cache
     def b2():
-        swap = ((0, 1), (1, 0))
-        flip = ((1, 0), (0, -1))
+        simple = (((0, 1), (1, 0)), ((1, 0), (0, -1)))  # swap, flip
         roots = ((1, -1), (0, 1), (1, 0), (1, 1))
-        return RootData("B2", 2, tuple(_close_group([swap, flip], 8)), roots)
+        return RootData("B2", 2, tuple(_close_group(simple, 8)), roots, simple)
 
     @staticmethod
     @cache
     def g2():
         # simple reflections on the root lattice basis (short a1, long a2)
-        s1 = ((-1, 3), (0, 1))
-        s2 = ((1, 0), (1, -1))
+        simple = (((-1, 3), (0, 1)), ((1, 0), (1, -1)))
         roots = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
-        return RootData("G2", 2, tuple(_close_group([s1, s2], 12)), roots)
+        return RootData("G2", 2, tuple(_close_group(simple, 12)), roots, simple)
 
     def order(self):
         return len(self.elements)
@@ -199,14 +178,14 @@ class RootData:
         )
 
     def is_isotypic(self, f, d):
-        """Whether project(f, d) == f, tested twist by twist without averaging.
+        """Whether project(f, d) == f, tested on the simple reflections.
 
-        project is the idempotent onto the sign^d-isotypic part and twisting is
-        a group action, so project fixes f exactly when every twist fixes f;
-        stops at the first twist that moves f.
+        project is the idempotent onto the sign^d-isotypic part; twisting is a
+        group action, sign^d is a character and the simple reflections
+        generate the group, so project fixes f exactly when every simple
+        reflection's twist fixes f.
         """
-        one = _identity(self.rank)
-        return all(self.twist(w, f, d) == f for w in self.elements if w != one)
+        return all(self.twist(s, f, d) == f for s in self.simple)
 
     def project(self, f, d):
         """Average of sign^d-twisted translates over the whole group."""

@@ -28,7 +28,7 @@ classes of the balanced pieces of its coweight.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, prod
 from operator import add
 
@@ -49,7 +49,7 @@ from .poly import (
     sum_by_key,
     term_degree,
 )
-from .weyl import RootData, all_perms, identity_perm, perm_on_vector
+from .weyl import RootData, all_perms, identity_perm, perm_on_vector, transposition
 from . import daha
 
 
@@ -274,13 +274,15 @@ class SphericalClass(TermSum):
         return NotImplemented
 
     def is_equivariant(self):
-        """Check that permuting the coweight permutes the coefficients."""
+        """Check that permuting the coweight permutes the coefficients.
+
+        It is a group action, so checking the adjacent transpositions suffices.
+        """
         n = self.ctx.n
         zero = (0,) * n
-        for w in all_perms(n):
+        for w in (transposition(n, i) for i in range(n - 1)):
             for lam, coeff in self.terms.items():
-                image = perm_on_vector(w, lam)
-                expect = self.terms.get(image)
+                expect = self.terms.get(perm_on_vector(w, lam))
                 if expect is None or coeff.act((w, zero)) != expect:
                     return False
         return True
@@ -329,14 +331,14 @@ def class_localized(lam, f, i, j):
         f = LaurentPoly.const(ctx, f)
     if f.ctx != ctx:
         raise ValueError("dressing lives in the wrong variable context")
-    for w in all_perms(n):
-        if perm_on_vector(w, lam) == lam and act_perm(w, f) != f:
+    # the transpositions (r s) with lam_r = lam_s generate the stabilizer
+    for r, s in combinations(range(n), 2):
+        swap = tuple(s if t == r else r if t == s else t for t in range(n))
+        if lam[r] == lam[s] and act_perm(swap, f) != f:
             raise ValueError("dressing is not stabilizer-invariant")
     reps = {}
     for w in all_perms(n):
-        image = perm_on_vector(w, lam)
-        if image not in reps:
-            reps[image] = w
+        reps.setdefault(perm_on_vector(w, lam), w)
     terms = {}
     for lam2, w in reps.items():
         num = act_perm(w, f)

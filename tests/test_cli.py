@@ -223,8 +223,22 @@ def test_dims_subcommand_prints_pinned_dimension(capsys):
         ("--rank 3 --d 1 --xmin 0 --xmax 2 --ymax 4", "a400c2d76922c7df0795919baec149307d01b0f136bffd131fdc14a332b4cabb"),
         ("--rank 3 --d 1 --xmin 0 --xmax 3 --ymax 4", "7a4908ca78be632712ea8fba6340f12cd8b35c3b46295bbda6761c91e48a1ddc"),
         ("--rank 3 --d 2 --xmin 0 --xmax 2 --ymax 5", "1edd0a2a004c63f2027b792573f16b9fb582d0f6991cbe1dad5a6a4eb5f61e28"),
+        # isotypy rows of a group that is not type A; digest taken from the full-group projection
+        ("--rank 2 --d 0 --kind B2 --xmin -1 --xmax 1 --ymax 3", "386853066971126b00d8c9683b8b0c7e303949c76f8ca13fa3f37a2bbeddf9a8"),
+        # 5,376 monomials, near WINDOW_CAP; digest taken from the full-group projection
+        ("--rank 3 --d 2 --xmin 0 --xmax 3 --ymax 6", "6c4b700e807a19b97485053546999971d165213fe8961d97adda51d0884059a1"),
     ],
-    ids=["taylor", "negative-xmin", "column-order", "g2", "rank3-d1-x2", "rank3-d1-x3", "rank3-d2-y5"],
+    ids=[
+        "taylor",
+        "negative-xmin",
+        "column-order",
+        "g2",
+        "rank3-d1-x2",
+        "rank3-d1-x3",
+        "rank3-d2-y5",
+        "b2-isotypic",
+        "rank3-d2-x3-y6",
+    ],
 )
 def test_dims_basis_listing_is_pinned(capsys, args, digest):
     assert main(["dims", *args.split(), "--basis"]) == 0
@@ -278,6 +292,8 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
         (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1.5, "characters": [[1]]}', "rank must be an integer"),
         (["verify", "abelian-zalg", "--matter-config"], '{"rank": 1, "characters": [[1.5]]}', "entry must be an integer"),
         (["verify", "abelian-zalg", "--matter-config"], "[]", "at least one record"),
+        (["verify", "splitting", "--matter-config"], "[" * 200_000 + "]" * 200_000, "recursion"),
+        (["eval", "--rank", "2", "--expr", "s1 " + "(" * 5000 + "y1" + ")" * 5000], None, "recursion"),
     ],
     ids=[
         "root-data",
@@ -294,6 +310,8 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
         "fractional-rank",
         "fractional-character",
         "no-matter",
+        "deep-json",
+        "deep-parens",
     ],
 )
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, argv, matter, expect):

@@ -2,6 +2,8 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -14,9 +16,12 @@ from diffalg.daha import (
     evaluate_word,
     op_pi,
     op_sigma,
+    op_symmetrizer,
     op_to_text,
     parse_word,
+    phi_image_op,
     phi_shift_check,
+    phi_word,
     verify_relations,
     word_to_text,
 )
@@ -85,6 +90,12 @@ def test_word_parse_rejects_bad_input():
         parse_word("s2 y1", CTX2)  # only s1 exists at rank two
     with pytest.raises(ParseError):
         parse_word("q1", CTX2)
+
+
+def test_word_parse_counts_only_ascii_digits():
+    with pytest.raises(ParseError) as info:
+        parse_word("s\u0661", CTX2)
+    assert info.value.position == 1
 
 
 @pytest.mark.parametrize(
@@ -164,6 +175,39 @@ def test_shift_element_modes_agree_rank_two():
         closed = e_lambda(CTX2, lam, "closed")
         generators = e_lambda(CTX2, lam, "generators")
         assert (closed - generators).is_zero(), f"m={m}"
+
+
+def _bubble_word(w):
+    """A reduced word of w as sigma tokens, read off a bubble sort of w."""
+    w, indices = list(w), []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
+                w[i], w[i + 1] = w[i + 1], w[i]
+                indices.append(i)
+                changed = True
+    return tuple(("s", i) for i in reversed(indices))
+
+
+def _word_average(ctx, signed_words):
+    scale = Fraction(1, factorial(ctx.n))
+    return DiffReflOp.sum(ctx, [evaluate_word(ctx, word) * (sign * scale) for sign, word in signed_words])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetrizer_is_the_average_of_the_sigma_words(n):
+    ctx = VarContext(n)
+    words = [(1, _bubble_word(w)) for w in permutations(range(n))]
+    assert op_symmetrizer(ctx) == _word_average(ctx, words)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_phi_image_is_the_average_of_the_phi_words(n):
+    ctx = VarContext(n)
+    words = [phi_word(_bubble_word(w), n) for w in permutations(range(n))]
+    assert phi_image_op(ctx, 0) == _word_average(ctx, words)
 
 
 def test_shift_element_rejects_bad_arguments():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg import ideals
+from diffalg import ideals, weyl
 from diffalg.ideals import (
     IdealSpec,
     PlaneSubset,
@@ -167,6 +167,32 @@ def test_graded_dimensions_on_the_narrow_window():
 def test_invariant_dimensions_follow_the_basic_degrees(roots, k, dimension):
     window = Window(0, 0, k)
     assert graded_dimension(IdealSpec(roots, 0), 0, window).dimension == dimension
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [RootData.type_a(2), RootData.type_a(3), RootData.type_a(4), RootData.b2(), RootData.g2()],
+    ids=["A2", "A3", "A4", "B2", "G2"],
+)
+def test_simple_reflections_generate_the_group(roots):
+    one = weyl._identity(roots.rank)
+    for s in roots.simple:
+        assert weyl._mat_det(s) == -1
+        assert weyl._mat_mul(s, s) == one
+    assert tuple(weyl._close_group(roots.simple, roots.order())) == roots.elements
+    # a polynomial fixed by one simple reflection is isotypic only when that one generates
+    ctx = VarContext(roots.rank)
+    f = LaurentPoly.monomial(ctx, xe=range(1, roots.rank + 1), ye=(2, 1) + (0,) * (roots.rank - 2))
+    for s in roots.simple:
+        fixed = f + roots.twist(s, f, 1)
+        assert roots.twist(s, fixed, 1) == fixed
+        assert roots.is_isotypic(fixed, 1) == (len(roots.simple) == 1)
+
+
+def test_rank_one_has_no_simple_reflections():
+    roots = RootData.type_a(1)
+    assert roots.simple == ()
+    assert roots.elements == (((1,),),)
 
 
 @pytest.mark.parametrize("roots", [RootData.type_a(2), RootData.b2(), RootData.g2()])

@@ -252,6 +252,13 @@ def test_parse_round_trip_random():
         assert parse_poly(poly_to_text(f), CTX2) == f
 
 
+@pytest.mark.parametrize("text, position", [("y\u0661", 2), ("y1^\u00b2", 4)], ids=["arabic-indic", "superscript"])
+def test_parse_counts_only_ascii_digits(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text, CTX2)
+    assert info.value.position == position
+
+
 def test_parse_reports_error_position():
     with pytest.raises(ParseError) as info:
         parse_poly("y1 +", CTX2)

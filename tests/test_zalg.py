@@ -192,6 +192,19 @@ def test_localized_class_rejects_unstable_dressing():
     # a symmetric dressing is fine
     sym = LaurentPoly.y(CTX2, 0) + LaurentPoly.y(CTX2, 1)
     assert class_localized((1, 1), sym, 0, 0).is_equivariant()
+    # equal entries that are not adjacent: the stabilizer is generated by (1 3)
+    ctx3 = VarContext(3)
+    with pytest.raises(ValueError, match="dressing is not stabilizer-invariant"):
+        class_localized((1, 0, 1), LaurentPoly.y(ctx3, 0), 0, 0)
+    sym13 = LaurentPoly.y(ctx3, 0) + LaurentPoly.y(ctx3, 2)
+    assert class_localized((1, 0, 1), sym13, 0, 0).is_equivariant()
+
+
+def test_equivariance_rejects_a_negated_coefficient():
+    cls = class_localized((1, 1, 0), LaurentPoly.one(VarContext(3)), 0, 0)
+    assert cls.is_equivariant()
+    lam, coeff = next(iter(cls.terms.items()))
+    assert not SphericalClass(cls.ctx, 0, 0, {**cls.terms, lam: -coeff}).is_equivariant()
 
 
 def test_spherical_composition_chains_tags():
