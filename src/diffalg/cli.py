@@ -104,8 +104,9 @@ class CheckConfig:
     ``suite`` is a registered suite name or "all"; ``rank`` is the number of
     variables; the caps bound the degrees and windows the suites sweep;
     ``seed`` drives all randomness; ``budget`` is the per-suite time budget
-    in seconds; ``matter``, a nonempty list of matter records, optionally
-    replaces the built-in character configurations of the abelian suite.
+    in seconds, checked before each step (a started step runs to its end);
+    ``matter``, a nonempty list of matter records, optionally replaces the
+    built-in character configurations of the abelian suite.
     """
 
     __slots__ = (
@@ -677,7 +678,8 @@ def _build_parser():
     verify.add_argument("--dmax", type=int, default=2, help="largest algebra degree (default 2)")
     verify.add_argument("--ymax", type=int, default=4, help="y-degree cap for windows (default 4)")
     verify.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    verify.add_argument("--budget", type=float, default=600.0, help="per-suite budget in seconds")
+    verify.add_argument("--budget", type=float, default=600.0, help="per-suite budget in seconds, checked only before "
+                        "each step: a step due past it is skipped, a started step runs to its end (default 600)")
     verify.add_argument("--out", help="write the JSON report to this path")
     verify.add_argument("--matter-config", help="JSON file with abelian matter characters")
 

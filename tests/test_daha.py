@@ -24,6 +24,7 @@ from diffalg.daha import (
     phi_word,
     verify_relations,
     word_to_text,
+    x_omega_word,
 )
 from diffalg.poly import (
     LaurentPoly,
@@ -208,6 +209,86 @@ def test_phi_image_is_the_average_of_the_phi_words(n):
     ctx = VarContext(n)
     words = [phi_word(_bubble_word(w), n) for w in permutations(range(n))]
     assert phi_image_op(ctx, 0) == _word_average(ctx, words)
+
+
+def test_symmetrizer_is_built_once_per_context():
+    assert op_symmetrizer(VarContext(3)) is op_symmetrizer(CTX3)
+    assert op_symmetrizer(CTX2) is not op_symmetrizer(CTX3)
+
+
+# Each sandwich against its other grouping, built in the test as the
+# reference: composition is associative, so the two must be equal.
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["n2", "n3"])
+def test_generator_shift_element_equals_the_left_grouping(ctx):
+    n = ctx.n
+    e = op_symmetrizer(ctx)
+    for m in range(n + 1):
+        middle = evaluate_word(ctx, x_omega_word(n, m))
+        reference = e.compose(middle).compose(e)
+        lam = (1,) * m + (0,) * (n - m)
+        assert e_lambda(ctx, lam, "generators") == reference, f"m={m}"
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["n2", "n3"])
+def test_phi_image_equals_the_right_grouping(ctx):
+    n = ctx.n
+    phi_e = phi_image_op(ctx, 0)
+    for m in range(1, n + 1):
+        sign, word = phi_word(x_omega_word(n, m), n)
+        middle = evaluate_word(ctx, word)
+        reference = phi_e.compose(middle.compose(phi_e)) * sign
+        assert phi_image_op(ctx, m) == reference, f"m={m}"
+
+
+# The last two compositions of each sandwich, as (terms of self, terms of
+# other).  X^omega_1 = pi s2 s1 has 4 terms and e has 6 at rank 3, so
+# e o (X o e) makes 24 + 36 = 60 coefficient products, where (e o X) o e,
+# whose inner product has 18 terms, makes 24 + 18 * 6.  For phi_image_op the
+# cheap side is the left; X^omega_3 = u^(1,1,1) has one term, a tie, which
+# keeps the left grouping.
+SANDWICH_SIZES = {
+    "e_lambda-m1": (lambda: e_lambda(CTX3, (1, 0, 0), "generators"), [(4, 6), (6, 6)]),
+    "e_lambda-m3": (lambda: e_lambda(CTX3, (1, 1, 1), "generators"), [(6, 1), (6, 6)]),
+    "phi_image_op-m1": (lambda: phi_image_op(CTX3, 1), [(6, 4), (6, 6)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SANDWICH_SIZES))
+def test_sandwich_composes_on_the_small_support_side(case, monkeypatch):
+    build, expected = SANDWICH_SIZES[case]
+    op_symmetrizer(CTX3)  # built before compose is counted
+    sizes = []
+    real = DiffReflOp.compose
+
+    def counting(self, other):
+        sizes.append((len(self.terms), len(other.terms)))
+        return real(self, other)
+
+    monkeypatch.setattr(DiffReflOp, "compose", counting)
+    build()
+    assert sizes[-2:] == expected
+
+
+def test_composition_is_associative():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def words(n):
+        tokens = [f"s{i}" for i in range(1, n)] + [f"y{i}" for i in range(1, n + 1)]
+        tokens += ["pi", "pi^-1", "(c + h)", "(y1 - 2*c)"]
+        return st.lists(st.sampled_from(tokens), max_size=3).map(" ".join)
+
+    def word_triples(n):
+        return st.tuples(st.just(VarContext(n)), words(n), words(n), words(n))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from([2, 3]).flatmap(word_triples))
+    def check(case):
+        ctx, *texts = case
+        a, b, c = (evaluate_word(ctx, parse_word(text, ctx)) for text in texts)
+        assert a.compose(b).compose(c) == a.compose(b.compose(c)), texts
+
+    check()
 
 
 def test_shift_element_rejects_bad_arguments():
