@@ -275,6 +275,17 @@ def test_crash_witness_names_where_it_was_raised(monkeypatch):
     assert entry["witness"] == f"ZeroDivisionError: boom (at test_cli.py:{line})"
 
 
+def test_broken_schur_route_fails_with_its_arithmetic_error(monkeypatch):
+    # delta_S_schur raises ArithmeticError unless its result is proportional
+    # to the direct determinant; the suite relies on that check alone
+    monkeypatch.setattr(ideals, "schur_poly", lambda ctx, block, mu: LaurentPoly.y(ctx, block[0]) + 1)
+    random_sets, showcase, _staircase = run_suite(CheckConfig("delta-bases")).entries
+    for entry in (random_sets, showcase):
+        assert entry["status"] == "fail"
+        assert entry["witness"].startswith("ArithmeticError: ")
+        assert "(at ideals.py:" in entry["witness"]
+
+
 @pytest.mark.parametrize(
     "argv, matter, expect",
     [

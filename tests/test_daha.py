@@ -1,6 +1,8 @@
 """Difference-reflection operator algebra: relations, words, shift identity."""
 
 import hashlib
+import random
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -14,7 +16,9 @@ from diffalg.daha import (
     delta_poly,
     e_lambda,
     evaluate_word,
+    fundamental_coweight,
     op_pi,
+    op_plain_symmetrizer,
     op_sigma,
     op_symmetrizer,
     op_to_text,
@@ -300,6 +304,24 @@ def test_shift_element_rejects_bad_arguments():
         e_lambda(CTX2, (1, 0), mode="mystery")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fundamental_coweight(3, -1),
+        lambda: fundamental_coweight(3, 4),
+        lambda: e_lambda(CTX3, (1, 0), "generators"),
+        lambda: e_lambda(CTX3, (1, 0), "closed"),
+        lambda: e_lambda(CTX2, (1, 0, 0), "closed"),
+        lambda: phi_shift_check(3, -1),
+        lambda: phi_shift_check(3, 4),
+    ],
+    ids=["index-1", "index4", "short-generators", "short-closed", "long", "shift-1", "shift4"],
+)
+def test_coweight_arguments_out_of_range_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_spherical_collapse_reproduces_symmetric_action():
     op = e_lambda(CTX2, (1, 0), "generators")
     f = LaurentPoly.y(CTX2, 0) + LaurentPoly.y(CTX2, 1)
@@ -309,6 +331,66 @@ def test_spherical_collapse_reproduces_symmetric_action():
         total = total + coeff * shift_y(f, lam)
     assert total.is_polynomial()
     assert total.num == op.apply(f)
+
+
+# On symmetric inputs an operator acts through its collapse: the (w, lam)
+# coefficient of D o P, P the plain symmetrizer, is collapse[lam] / n!.
+# D o (sigma_i - 1) has an empty collapse, since sigma_i fixes symmetric
+# polynomials.
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["n2", "n3"])
+def test_composite_with_the_plain_symmetrizer_is_the_collapse(ctx):
+    rng = random.Random(20261020)
+    n = ctx.n
+    tokens = [f"s{i}" for i in range(1, n)] + [f"y{i}" for i in range(1, n + 1)]
+    tokens += ["pi", "pi^-1", "(c + h)", "(y1 - 2*c)"]
+    plain = op_plain_symmetrizer(ctx)
+    scale = Fraction(1, factorial(n))
+    empty = 0
+    for _ in range(12):
+        word = " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 3)))
+        op = evaluate_word(ctx, parse_word(word, ctx))
+        i = rng.randrange(n - 1)
+        for d in (op, op.compose(op_sigma(ctx, i) - DiffReflOp.identity(ctx))):
+            collapse = d.spherical_collapse()
+            expected = {
+                (w, lam): coeff * scale for w in permutations(range(n)) for lam, coeff in collapse.items()
+            }
+            assert d.compose(plain).terms == expected, word
+            empty += not collapse
+    assert 0 < empty < 24
+
+
+def test_shift_check_composes_no_symmetrizer_and_no_difference(monkeypatch):
+    phi_shift_check(3, 1)  # the cached symmetrizer is built before compose is counted
+    calls = []
+    real = DiffReflOp.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    def refuse(*args):
+        raise AssertionError("the shift check builds an operator difference or composite")
+
+    monkeypatch.setattr(DiffReflOp, "compose", counting)
+    monkeypatch.setattr(DiffReflOp, "__sub__", refuse)
+    monkeypatch.setattr(daha, "op_plain_symmetrizer", refuse)
+    assert phi_shift_check(3, 1) == (True, None)
+    assert phi_shift_check(3, 2) == (True, None)
+    assert len(calls) <= 32
+
+
+# With the plain Vandermonde in place of the deformed product D_c the
+# identity is false; the witness is the collapsed difference, one term per
+# translation of the S_n orbit of the coweight.
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 1)])
+def test_shift_check_fails_with_the_plain_vandermonde(n, m, monkeypatch):
+    monkeypatch.setattr(daha, "delta_poly", lambda ctx: RootData.type_a(ctx.n).vandermonde(ctx))
+    ok, witness = phi_shift_check(n, m)
+    assert not ok
+    translations = re.findall(r"u\^\[([-\d,]+)\]", witness)
+    orbit = {",".join(map(str, lam)) for lam in permutations(fundamental_coweight(n, m))}
+    assert sorted(translations) == sorted(orbit)
 
 
 @pytest.mark.parametrize(
