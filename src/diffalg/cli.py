@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from . import daha
 from .ideals import (
-    WINDOW_CAP,
     IdealSpec,
     PlaneSubset,
     Window,
@@ -602,6 +601,7 @@ SUITES = {
 }
 
 SUITE_NAMES = tuple(SUITES)
+WEYL_GROUP_CAP = 6000  # the most elements of a Weyl group `dims` builds, one matrix each
 
 
 def run_suite(cfg):
@@ -727,8 +727,8 @@ def _cmd_dims(args):
     window.check_size(args.rank)
     if args.kind == "A":
         order = math.factorial(args.rank)
-        if order > WINDOW_CAP:
-            raise InvalidRank(f"the Weyl group of A{args.rank} has {order} elements (cap {WINDOW_CAP})")
+        if order > WEYL_GROUP_CAP:
+            raise InvalidRank(f"the Weyl group of A{args.rank} has {order} elements (cap {WEYL_GROUP_CAP})")
         roots = RootData.type_a(args.rank)
     else:
         roots = RootData.b2() if args.kind == "B2" else RootData.g2()

@@ -503,11 +503,17 @@ def phi_image_op(ctx, m):
     satisfy the Coxeter relations, so phi(symmetrizer) is the tau-average.
     """
     n = ctx.n
-    phi_e = _average(ctx, [-op_sigma(ctx, n - 2 - i) for i in range(n - 1)])
+    phi_e = _phi_symmetrizer(ctx)
     if not m:
         return phi_e
     sign, middle = phi_word(x_omega_word(n, m), n)
     return _sandwich(phi_e, evaluate_word(ctx, middle)) * sign
+
+
+@cache
+def _phi_symmetrizer(ctx):
+    """The tau-average phi(e), tau_i = -sigma_(n-i), built once per context."""
+    return _average(ctx, [-op_sigma(ctx, ctx.n - 2 - i) for i in range(ctx.n - 1)])
 
 
 def phi_shift_check(n, m):

@@ -220,6 +220,21 @@ def test_symmetrizer_is_built_once_per_context():
     assert op_symmetrizer(CTX2) is not op_symmetrizer(CTX3)
 
 
+def test_phi_image_builds_the_tau_average_once(monkeypatch):
+    daha._phi_symmetrizer.cache_clear()
+    built = []
+    real = daha._average
+
+    def counting(ctx, gens):
+        built.append(ctx)
+        return real(ctx, gens)
+
+    monkeypatch.setattr(daha, "_average", counting)
+    first = phi_image_op(CTX3, 1)
+    assert phi_image_op(CTX3, 1) == first
+    assert built == [CTX3]
+
+
 # Each sandwich against its other grouping, built in the test as the
 # reference: composition is associative, so the two must be equal.
 @pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["n2", "n3"])

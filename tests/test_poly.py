@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, prod
+from operator import mul
 
 import pytest
 
@@ -447,6 +448,144 @@ def test_product_agrees_with_sympy():
         assert sympy.expand(to_sympy(f * g) - to_sympy(f) * to_sympy(g)) == 0
 
     check()
+
+
+# Coefficients at and just past the 16-, 32- and 64-bit lane bounds of _mul_dense.
+LANE_EDGES = [1, 2, 2**15 - 1, 2**15, 2**15 + 1, 2**31 - 1, 2**31, 2**31 + 1, 2**63 - 1, 2**63, 2**63 + 1]
+
+
+def _box_terms(ctx, slots, base, radices, coeffs):
+    """The term dict with coefficient coeffs[i] at the i-th point of a box.
+
+    The box moves the exponents at ``slots`` (indices into x1..xn, y1..yn,
+    c, h) by 0..radix-1 from ``base``, the first slot fastest.
+    """
+    n = ctx.n
+    terms = {}
+    for i, coeff in enumerate(coeffs):
+        exps = list(base)
+        for slot, radix in zip(slots, radices):
+            i, digit = divmod(i, radix)
+            exps[slot] += digit
+        terms[monomial_key(exps[:n], exps[n : 2 * n], exps[2 * n], exps[2 * n + 1])] = coeff
+    return terms
+
+
+def _lane_bound(a, b):
+    """The bound _mul_dense puts on every lane of the product of the int term dicts a and b."""
+    return sum(abs(c) for c in a.values()) * max(abs(c) for c in b.values())
+
+
+def _nonzero(terms):
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+def test_dense_product_agrees_with_the_pair_loop(monkeypatch):
+    """Both product routes on term dicts that fill their exponent box at ranks
+    1-3: x exponents below 0, coefficients at and just past the lane bounds, a
+    twisted square whose odd lanes cancel to 0, and plain squares; and
+    __mul__ on them with Fraction contents, through the dense route."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.setattr(poly, "_DENSE_PAIRS", 0)  # __mul__ tries the dense route on every product
+
+    @st.composite
+    def operands(draw):
+        n = draw(st.integers(1, 3))
+        ctx = VarContext(n)
+        slots = draw(st.lists(st.integers(0, 2 * n + 1), min_size=2, max_size=3, unique=True))
+
+        def box():
+            base = [draw(st.integers(-6, 2)) for _ in range(n)] + [draw(st.integers(0, 3)) for _ in range(n + 2)]
+            radices = [draw(st.integers(3, 4)) for _ in slots]
+            # sizes up to a lane edge, so that every lane width and the decline are reached
+            coeff = st.builds(mul, st.integers(1, draw(st.sampled_from(LANE_EDGES))), st.sampled_from([1, -1]))
+            coeffs = draw(st.lists(coeff, min_size=prod(radices), max_size=prod(radices)))
+            return base, radices, coeffs
+
+        base, radices, coeffs = box()
+        a = _box_terms(ctx, slots, base, radices, coeffs)
+        kind = draw(st.sampled_from(["other", "square", "twisted square"]))
+        if kind == "other":
+            b = _box_terms(ctx, slots, *box())
+        elif kind == "square":
+            b = a
+        else:  # a(..., -t, ...) in the first slot's variable t: the product is even in t
+            b = _box_terms(ctx, slots, base, radices, [c * (-1) ** (i % radices[0]) for i, c in enumerate(coeffs)])
+        contents = st.sampled_from([1, Fraction(1, 6), Fraction(5, 3)])
+        return ctx, a, b, kind, draw(contents), draw(contents)
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(operands())
+    def check(case):
+        ctx, a, b, kind, content_a, content_b = case
+        pairs = poly._mul_pairs(ctx.n, a, b)
+        dense = poly._mul_dense(ctx.n, a, b)
+        # a box of radix 3 or 4 in two or more exponents is dense enough; only the lanes can decline
+        assert (dense is None) == (_lane_bound(a, b) >= 2**63)
+        if dense is not None:
+            assert dense == _nonzero(pairs)
+        if kind == "twisted square":
+            assert len(_nonzero(pairs)) < len(pairs)
+        f, g = LaurentPoly(ctx, a) * content_a, LaurentPoly(ctx, b) * content_b
+        product, expected = f * g, LaurentPoly(ctx, pairs) * (content_a * content_b)
+        # the dense route returns its terms in slot order; no result may depend on it
+        assert product == expected and hash(product) == hash(expected)
+        assert poly_to_text(product) == poly_to_text(expected)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "length, a, b, width",
+    [
+        (7, 31, 151, 16),  # the middle lane is 2^15 - 1, the largest a 16-bit lane holds
+        (8, 2**6, 2**6, 32),  # 2^15
+        (4, 2**29, 1, 64),  # 2^31
+        (4, 2**61 - 1, 1, 64),  # 2^63 - 4
+        (4, 2**61, 1, None),  # 2^63: the pair loop runs
+    ],
+)
+def test_dense_lanes_hold_the_bound_exactly(length, a, b, width, monkeypatch):
+    # a (1 + t + ... + t^(length-1)) times b (1 + 1/t + ... + 1/t^(length-1)), t = x1:
+    # the middle lane is length * a * b, the bound itself
+    ctx = VarContext(1)
+    f = {monomial_key((e,), (0,)): a for e in range(length)}
+    g = {monomial_key((-e,), (0,)): b for e in range(length)}
+    assert _lane_bound(f, g) == length * a * b
+    widths = []
+
+    class Spy(dict):  # records the width the dense route reads its lane format for
+        def __getitem__(self, width):
+            widths.append(width)
+            return super().__getitem__(width)
+
+    monkeypatch.setattr(poly, "_LANE_FORMATS", Spy(poly._LANE_FORMATS))
+    dense = poly._mul_dense(1, f, g)
+    expected = poly._mul_pairs(1, f, g)
+    assert max(expected.values()) == length * a * b
+    assert widths == ([width] if width else [])
+    assert dense is None if width is None else dense == expected
+
+
+def test_dense_product_past_a_field_raises():
+    ctx = VarContext(2)
+    box = LaurentPoly(ctx, _box_terms(ctx, [0, 1], [0] * 6, [6, 6], [1] * 36))  # x1^0..5 x2^0..5
+    assert poly._mul_dense(2, box._ints, box._ints) is not None  # the box in range is dense
+    for shift in (LaurentPoly.y(ctx, 0, 20000), LaurentPoly.x(ctx, 1, -10000), LaurentPoly.h(ctx) ** 20000):
+        f = box * shift
+        assert len(f) * len(f) >= poly._DENSE_PAIRS
+        for make in (lambda: poly._mul_dense(2, f._ints, f._ints), lambda: f * f):
+            with pytest.raises(ValueError, match="outside its packed field"):
+                make()
+
+
+def test_len_counts_terms_and_builds_no_view():
+    f = (x(0) * Fraction(1, 2) + y(1) * Fraction(3, 2) - 7) * Fraction(2, 5)
+    assert f._terms is None
+    assert len(f) == 3
+    assert f._terms is None
+    assert len(LaurentPoly.zero(CTX2)) == 0
 
 
 def test_taylor_pair_agrees_with_sympy():
