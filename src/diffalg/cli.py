@@ -145,15 +145,7 @@ class CheckConfig:
 
     def echo(self):
         """The config as a plain mapping, embedded in serialized reports."""
-        return {
-            "suite": self.suite,
-            "rank": self.rank,
-            "d_max": self.d_max,
-            "y_max": self.y_max,
-            "seed": self.seed,
-            "budget": self.budget,
-            "matter": self.matter,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class Report:
@@ -273,32 +265,34 @@ def _suite_daha_relations(cfg, rng):
     return [(f"defining relations (rank {cfg.rank})", relations)]
 
 
-def _suite_shift_iso(cfg, rng):
-    steps = []
-    for m in range(1, cfg.rank):
-        def check(m=m):
-            return daha.phi_shift_check(cfg.rank, m)
+def _per_coweight(cfg, stem, check, rank_one_label):
+    """One step "<stem> <m>" per fundamental coweight m, or a passing placeholder at rank 1."""
+    if cfg.rank == 1:
+        return [(rank_one_label, lambda: (True, None))]
+    return [(f"{stem} {m}", lambda m=m: check(m)) for m in range(1, cfg.rank)]
 
-        steps.append((f"shift identity at fundamental coweight {m}", check))
-    if not steps:
-        steps.append(("shift identity (rank 1 has no coweights)", lambda: (True, None)))
-    return steps
+
+def _suite_shift_iso(cfg, rng):
+    return _per_coweight(
+        cfg,
+        "shift identity at fundamental coweight",
+        lambda m: daha.phi_shift_check(cfg.rank, m),
+        "shift identity (rank 1 has no coweights)",
+    )
 
 
 def _suite_e_lambda(cfg, rng):
     ctx = VarContext(cfg.rank)
-    steps = []
-    for m in range(1, cfg.rank):
-        def check(m=m):
-            lam = daha.fundamental_coweight(cfg.rank, m)
-            diff = daha.e_lambda(ctx, lam, "closed") - daha.e_lambda(ctx, lam, "generators")
-            ok = diff.is_zero()
-            return ok, None if ok else daha.op_to_text(diff)
 
-        steps.append((f"closed form equals generator form at coweight {m}", check))
-    if not steps:
-        steps.append(("closed form (rank 1 is trivial)", lambda: (True, None)))
-    return steps
+    def check(m):
+        lam = daha.fundamental_coweight(cfg.rank, m)
+        diff = daha.e_lambda(ctx, lam, "closed") - daha.e_lambda(ctx, lam, "generators")
+        ok = diff.is_zero()
+        return ok, None if ok else daha.op_to_text(diff)
+
+    return _per_coweight(
+        cfg, "closed form equals generator form at coweight", check, "closed form (rank 1 is trivial)"
+    )
 
 
 def _suite_abelian_zalg(cfg, rng):

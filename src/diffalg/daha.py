@@ -53,14 +53,7 @@ from .poly import (
     subst_params,
     sum_by_key,
 )
-from .weyl import (
-    all_perms,
-    identity_perm,
-    perm_inv,
-    perm_mul,
-    perm_on_vector,
-    transposition,
-)
+from .weyl import all_perms, identity_perm, perm_mul, perm_on_vector, transposition
 
 
 class NotPolynomialPreserving(ValueError):
@@ -190,9 +183,10 @@ def op_scalar(ctx, value):
 
 
 def op_u(ctx, lam):
-    return DiffReflOp(
-        ctx, {(identity_perm(ctx.n), tuple(lam)): RationalFunction.one(ctx)}
-    )
+    lam = tuple(lam)
+    if len(lam) != ctx.n:
+        raise ValueError(f"translation must have {ctx.n} entries, got {lam}")
+    return DiffReflOp(ctx, {(identity_perm(ctx.n), lam): RationalFunction.one(ctx)})
 
 
 def op_y(ctx, i):
@@ -217,19 +211,14 @@ def op_sigma(ctx, i):
     )
 
 
-def op_pi(ctx):
+def op_pi(ctx, power=1):
+    """pi = u^{e_1} w_c for power 1, its inverse u^{-e_n} w_c^-1 for power -1."""
+    if power not in (1, -1):
+        raise ValueError(f"pi power must be 1 or -1, got {power!r}")
     n = ctx.n
-    w_c = tuple((j + 1) % n for j in range(n))
-    lam = (1,) + (0,) * (n - 1)
-    return DiffReflOp(ctx, {(w_c, lam): RationalFunction.one(ctx)})
-
-
-def op_pi_inv(ctx):
-    n = ctx.n
-    w_c = tuple((j + 1) % n for j in range(n))
-    w_inv = perm_inv(w_c)
-    lam = perm_on_vector(w_inv, (-1,) + (0,) * (n - 1))
-    return DiffReflOp(ctx, {(w_inv, lam): RationalFunction.one(ctx)})
+    w = tuple((j + power) % n for j in range(n))
+    lam = (1,) + (0,) * (n - 1) if power == 1 else (0,) * (n - 1) + (-1,)
+    return DiffReflOp(ctx, {(w, lam): RationalFunction.one(ctx)})
 
 
 def _average(ctx, gens):
@@ -329,20 +318,12 @@ def parse_word(text, ctx):
 
 def evaluate_word(ctx, word):
     """Compose generator operators left to right (rightmost acts first)."""
+    builders = {"s": op_sigma, "pi": op_pi, "y": op_y, "scalar": op_scalar}
     out = DiffReflOp.identity(ctx)
     for token in word:
-        kind = token[0]
-        if kind == "s":
-            step = op_sigma(ctx, token[1])
-        elif kind == "pi":
-            step = op_pi(ctx) if token[1] == 1 else op_pi_inv(ctx)
-        elif kind == "y":
-            step = op_y(ctx, token[1])
-        elif kind == "scalar":
-            step = op_scalar(ctx, token[1])
-        else:
+        if token[0] not in builders:
             raise ValueError(f"unknown token {token!r}")
-        out = out.compose(step)
+        out = out.compose(builders[token[0]](ctx, token[1]))
     return out
 
 

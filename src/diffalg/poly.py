@@ -623,10 +623,13 @@ def act_matrix(m, f):
 def shift_y(f, lam):
     """Substitute y_i -> y_i + h * lam_i (x variables untouched).
 
-    Raises ValueError unless every lam_i is an integer.  An integer shift is
-    an automorphism of the integer polynomial ring, so it keeps the content.
+    Raises ValueError unless lam has one integer entry per variable.  An
+    integer shift is an automorphism of the integer polynomial ring, so it
+    keeps the content.
     """
     lam = [require_int(step, "a shift entry") for step in lam]
+    if len(lam) != f.ctx.n:
+        raise ValueError(f"shift must have {f.ctx.n} entries, got {len(lam)}")
     if not any(lam):
         return f
     steps = [(shift, step) for shift, step in zip(_layout(f.ctx.n).ys, lam) if step]

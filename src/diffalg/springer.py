@@ -95,7 +95,7 @@ class ModuleElt(Immutable):
     def __sub__(self, other):
         if not isinstance(other, ModuleElt):
             return NotImplemented
-        return self.__add__(ModuleElt(other.module, other.grade, -other.value))
+        return self + (-other)
 
     def __neg__(self):
         return ModuleElt(self.module, self.grade, -self.value)

@@ -18,7 +18,7 @@ from functools import cache
 import itertools
 from math import prod
 
-from .poly import LaurentPoly, act_matrix, linear_poly
+from .poly import LaurentPoly, act_matrix, linear_poly, require_int
 
 
 def identity_perm(n):
@@ -28,13 +28,6 @@ def identity_perm(n):
 def perm_mul(w1, w2):
     """Composite doing w2 first: (w1 w2)(j) = w1(w2(j))."""
     return tuple(w1[w2[j]] for j in range(len(w1)))
-
-
-def perm_inv(w):
-    out = [0] * len(w)
-    for j, image in enumerate(w):
-        out[image] = j
-    return tuple(out)
 
 
 def transposition(n, i):
@@ -163,7 +156,7 @@ class RootData:
     def twist(self, m, f, d):
         """The translate of f by m, times det(m)^d."""
         g = self.act_matrix(m, f)
-        return -g if d % 2 and _mat_det(m) < 0 else g
+        return -g if require_int(d, "the character exponent") % 2 and _mat_det(m) < 0 else g
 
     def stabilizer_size(self, lam):
         return sum(1 for m in self.elements if _mat_vec(m, lam) == tuple(lam))

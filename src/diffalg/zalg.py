@@ -21,8 +21,8 @@ are switched off and classes multiply by plain convolution.
 ``match_conventions`` searches for the parameter dictionary (sign of c,
 shift of c by multiples of h, orientation sign per root pair) that makes the
 localized family agree with the spherical difference operators built in
-:mod:`diffalg.daha`, and raises ``NoDictionary`` when no unique dictionary
-exists.  ``split_coweight`` and ``verify_factorization`` implement the
+:mod:`diffalg.daha`, and raises ``NoDictionary`` when no dictionary in its
+search box exists.  ``split_coweight`` and ``verify_factorization`` implement the
 leading-coefficient factorization of a commutative-limit class into the
 classes of the balanced pieces of its coweight.
 """
@@ -373,7 +373,7 @@ def class_commutative(lam, f, d, roots, normalization="reduced"):
     positive root forms.  ``f`` is a LaurentPoly.  Returns a map coweight ->
     LaurentPoly.
     """
-    lam = tuple(lam)
+    lam = tuple(require_int(v, "a coweight entry") for v in lam)
     if roots.rank != len(lam):
         raise ValueError("coweight length must match the root datum rank")
     if normalization not in ("reduced", "raw"):
@@ -569,8 +569,7 @@ def match_conventions(n):
     orientation sign applied once per pair of distinct coweight entries.
 
     Returns {"c_sign": +-1, "h_shift": m, "pair_sign": +-1}.  Raises
-    ``NoDictionary`` when no substitution in the box matches, or when two
-    substitutions with different effects both match.
+    ``NoDictionary`` when no substitution in the box matches.
     """
     ctx = VarContext(n)
     lam = (1,) + (0,) * (n - 1)
@@ -596,23 +595,10 @@ def match_conventions(n):
                         image = RationalFunction(-image.num, image.den)
                     transformed[mu] = image
                 if all(transformed[mu] == target[mu] for mu in target):
-                    hits.append(
-                        (
-                            {"c_sign": c_sign, "h_shift": m, "pair_sign": pair_sign},
-                            tuple(sorted((mu, repr(f)) for mu, f in transformed.items())),
-                        )
-                    )
+                    hits.append({"c_sign": c_sign, "h_shift": m, "pair_sign": pair_sign})
     if not hits:
         raise NoDictionary("no substitution in the search box matches")
-    effects = {effect for _, effect in hits}
-    if len(effects) > 1:
-        raise NoDictionary("ambiguous: substitutions with different effects match")
-    hits.sort(
-        key=lambda item: (
-            -item[0]["pair_sign"],
-            -item[0]["c_sign"],
-            abs(item[0]["h_shift"]),
-            item[0]["h_shift"],
-        )
+    return min(
+        hits,
+        key=lambda hit: (-hit["pair_sign"], -hit["c_sign"], abs(hit["h_shift"]), hit["h_shift"]),
     )
-    return hits[0][0]

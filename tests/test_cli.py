@@ -102,6 +102,18 @@ def test_unknown_suite_is_rejected():
         run_suite(CheckConfig("bogus"))
 
 
+@pytest.mark.parametrize(
+    "suite, label",
+    [
+        ("shift-iso", "shift identity (rank 1 has no coweights)"),
+        ("e-lambda", "closed form (rank 1 is trivial)"),
+    ],
+)
+def test_rank_one_has_one_placeholder_step_per_coweight_suite(suite, label):
+    report = run_suite(CheckConfig(suite, rank=1))
+    assert report.entries == [{"label": label, "status": "pass", "witness": None}]
+
+
 def test_chain_example_suite_passes():
     report = run_suite(CheckConfig("chain-example"))
     assert report.all_pass()

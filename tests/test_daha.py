@@ -164,6 +164,53 @@ def test_pi_translates_last_variable():
     assert DiffReflOp.zero(CTX2).apply(f) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pi_composed_with_its_inverse_is_the_identity(n):
+    ctx = VarContext(n)
+    assert op_pi(ctx).compose(op_pi(ctx, -1)) == DiffReflOp.identity(ctx)
+    assert op_pi(ctx, -1).compose(op_pi(ctx)) == DiffReflOp.identity(ctx)
+
+
+def test_pi_rejects_powers_other_than_one_and_minus_one():
+    for power in (0, 2, -2):
+        with pytest.raises(ValueError):
+            op_pi(CTX2, power)
+
+
+def test_translation_must_have_one_entry_per_variable():
+    # a short translation used to build a key of the wrong rank
+    for lam in ((1,), (0, 1, 5)):
+        with pytest.raises(ValueError):
+            daha.op_u(CTX2, lam)
+
+
+def test_phi_word_maps_y_tokens_and_scalars():
+    scalar = LaurentPoly.c(CTX3) + 2 * LaurentPoly.h(CTX3)
+    sign, word = phi_word((("y", 0), ("scalar", scalar), ("y", 2), ("y", 1)), 3)
+    assert sign == 1
+    assert word == (
+        ("y", 1),
+        ("y", 0),
+        ("scalar", LaurentPoly.c(CTX3) - 2 * LaurentPoly.h(CTX3)),
+        ("y", 2),
+    )
+
+
+def test_phi_word_is_an_involution():
+    word = parse_word("s1 y1 pi (c + h) s2 pi^-1 y3 (h^2 - y2)", CTX3)
+    sign, image = phi_word(word, 3)
+    assert sign == 1 and image != word
+    back_sign, back = phi_word(image, 3)
+    assert sign * back_sign == 1
+    assert back == word
+
+
+@pytest.mark.parametrize("apply", [word_to_text, lambda w: evaluate_word(CTX2, w), lambda w: phi_word(w, 2)])
+def test_unknown_word_tokens_are_rejected(apply):
+    with pytest.raises(ValueError, match=re.escape("unknown token ('x', 0)")):
+        apply((("s", 0), ("x", 0)))
+
+
 def test_delta_poly_matches_root_system_alternant():
     # at c = 0 the deformed product is the Vandermonde of the root system
     limit = commutative_limit(RationalFunction(delta_poly(CTX3)))

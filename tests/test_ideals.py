@@ -108,6 +108,19 @@ def test_zero_lies_in_every_power():
     assert ok and witness is None
 
 
+def test_character_exponent_must_be_an_integer():
+    # d % 2 used to read 1.5 and 0.5 as odd exponents, giving the sign-twisted slice
+    f = LaurentPoly.y(CTX2, 0)
+    for call in (
+        lambda: graded_dimension(IdealSpec(ROOTS2, 1), 1.5, NARROW),
+        lambda: ROOTS2.project(f, 0.5),
+        lambda: ROOTS2.is_isotypic(f, Fraction(1, 2)),
+        lambda: class_commutative((1, 0), f, 1.0, ROOTS2),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_membership_rejects_non_difference_root_data():
     b2 = RootData.b2()
     f = LaurentPoly.one(VarContext(2))

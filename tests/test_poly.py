@@ -99,6 +99,17 @@ def test_substitutions_reject_non_integer_arguments():
             make()
 
 
+def test_shifts_need_one_entry_per_variable():
+    # a short shift used to move only the first variables, a long one dropped its tail
+    f = y(0) + y(1)
+    for lam in ((1,), (0, 1, 5), ()):
+        with pytest.raises(ValueError):
+            shift_y(f, lam)
+        with pytest.raises(ValueError):
+            act(((0, 1), lam), f)
+    assert shift_y(f, (0, 0)) == f
+
+
 def test_monomial_validation():
     with pytest.raises(ValueError):
         LaurentPoly.monomial(CTX2, ye=(-1, 0))

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from diffalg import zalg
+
 from diffalg.daha import DiffReflOp, op_sigma, op_y
 from diffalg.poly import (
     LaurentPoly,
@@ -18,6 +20,7 @@ from diffalg.zalg import (
     AbelianMatter,
     CoweightSplit,
     SphericalClass,
+    NoDictionary,
     TagMismatch,
     abelian_embed,
     abelian_product,
@@ -332,3 +335,18 @@ def test_epsilon_pinned_samples():
 
 def test_convention_dictionary_rank_two():
     assert match_conventions(2) == {"c_sign": 1, "h_shift": 1, "pair_sign": 1}
+
+
+def test_convention_search_without_the_shift_finds_no_dictionary(monkeypatch):
+    # the only matching substitution at rank 2 has h_shift 1
+    monkeypatch.setattr(zalg, "SHIFT_RANGE", 0)
+    with pytest.raises(NoDictionary, match="no substitution in the search box matches"):
+        match_conventions(2)
+
+
+def test_commutative_class_rejects_non_integer_coweights():
+    # a float entry used to come back as a float coweight key
+    f = LaurentPoly.one(CTX2)
+    for lam in ((1.5, 0), (Fraction(1, 2), 0), (1.0, 0)):
+        with pytest.raises(ValueError):
+            class_commutative(lam, f, 1, RootData.type_a(2))
