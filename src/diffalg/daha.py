@@ -50,6 +50,7 @@ from .poly import (
     linear_poly,
     parse_factor,
     poly_to_text,
+    require_int,
     subst_params,
     sum_by_key,
 )
@@ -183,7 +184,7 @@ def op_scalar(ctx, value):
 
 
 def op_u(ctx, lam):
-    lam = tuple(lam)
+    lam = tuple(require_int(step, "a translation entry") for step in lam)
     if len(lam) != ctx.n:
         raise ValueError(f"translation must have {ctx.n} entries, got {lam}")
     return DiffReflOp(ctx, {(identity_perm(ctx.n), lam): RationalFunction.one(ctx)})
@@ -213,7 +214,7 @@ def op_sigma(ctx, i):
 
 def op_pi(ctx, power=1):
     """pi = u^{e_1} w_c for power 1, its inverse u^{-e_n} w_c^-1 for power -1."""
-    if power not in (1, -1):
+    if require_int(power, "pi power") not in (1, -1):
         raise ValueError(f"pi power must be 1 or -1, got {power!r}")
     n = ctx.n
     w = tuple((j + power) % n for j in range(n))

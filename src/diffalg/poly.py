@@ -58,7 +58,7 @@ class VarContext:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if require_int(self.n, "n") < 1:
             raise ValueError("need at least one variable pair")
 
 
@@ -399,8 +399,8 @@ def _from_ints(ctx, out, content, primitive=False):
 
 
 def _unit_exponents(ctx, i, power):
-    """The exponent vector with power at index i; raises on i outside 0..n-1."""
-    if not 0 <= i < ctx.n:
+    """The exponent vector with power at index i; raises unless i is an integer in 0..n-1."""
+    if not 0 <= require_int(i, "a variable index") < ctx.n:
         raise ValueError(f"variable index {i} out of range 0..{ctx.n - 1}")
     exps = [0] * ctx.n
     exps[i] = power
@@ -562,23 +562,9 @@ def act_perm(w, f):
     """Apply a permutation to variables: x_j -> x_{w(j)}, y_j -> y_{w(j)}.
 
     w is a tuple of images, 0-indexed: position j maps to w[j].  On exponent
-    vectors this transports e to e' with e'_{w(j)} = e_j.
+    vectors this transports e to e' with e'_{w(j)} = e_j: act with lam = 0.
     """
-    layout = _layout(f.ctx.n)
-    moves = [
-        (shifts[j], shifts[image])
-        for shifts in (layout.xs, layout.ys)
-        for j, image in enumerate(w)
-        if image != j
-    ]
-    keep = ~sum(_FIELD << src for src, _ in moves)
-    out = {}
-    for key, coeff in f._ints.items():
-        moved = key & keep
-        for src, dst in moves:
-            moved |= (key >> src & _FIELD) << dst
-        out[moved] = coeff
-    return _from_ints(f.ctx, out, f._content, True)
+    return act((w, (0,) * f.ctx.n), f)
 
 
 def act_matrix(m, f):
@@ -621,72 +607,82 @@ def act_matrix(m, f):
 
 
 def shift_y(f, lam):
-    """Substitute y_i -> y_i + h * lam_i (x variables untouched).
+    """Substitute y_i -> y_i + h * lam_i (x variables untouched); act with the identity permutation.
 
     Raises ValueError unless lam has one integer entry per variable.  An
     integer shift is an automorphism of the integer polynomial ring, so it
     keeps the content.
     """
-    lam = [require_int(step, "a shift entry") for step in lam]
-    if len(lam) != f.ctx.n:
-        raise ValueError(f"shift must have {f.ctx.n} entries, got {len(lam)}")
-    if not any(lam):
-        return f
-    steps = [(shift, step) for shift, step in zip(_layout(f.ctx.n).ys, lam) if step]
-    out = {}
-    for key, coeff in f._ints.items():
-        expanded = [(key, coeff)]
-        for shift, step in steps:
-            nxt = []
-            for cur, cur_coeff in expanded:
-                k = cur >> shift & _FIELD
-                if not k:
-                    nxt.append((cur, cur_coeff))
-                    continue
-                # y_i^k -> sum_b C(k, b) * y_i^b * (step * h)^(k - b), from y_i^0 h^k up
-                base = cur - (k << shift) + k
-                if base & _GUARD:
-                    raise ValueError(_RANGE_ERROR)
-                for b in range(k + 1):
-                    nxt.append((base + (b << shift) - b, cur_coeff * comb(k, b) * step ** (k - b)))
-            expanded = nxt
-        for cur, cur_coeff in expanded:
-            out[cur] = out.get(cur, 0) + cur_coeff
-    return _from_ints(f.ctx, out, f._content, True)
+    return act((range(f.ctx.n), lam), f)
 
 
 def act(g, f):
-    """Extended affine action: act((w, lam), f) = shift by lam after w.
+    """Extended affine action: act((w, lam), f) = shift by lam after w; f itself for the identity.
 
     The permutation substitutes first (y_j -> y_{w(j)}, same on x), then the
     translation part shifts y_i -> y_i + h * lam_i.  Composition satisfies
     act(g1 * g2, f) = act(g1, act(g2, f)) for the product
-    (w1, l1)(w2, l2) = (w1 w2, l1 + w1 l2).
+    (w1, l1)(w2, l2) = (w1 w2, l1 + w1 l2).  One pass moves the permuted
+    key fields, then ``_expand`` shifts each y_i with lam_i != 0.
     """
     w, lam = g
-    return shift_y(act_perm(w, f), lam)
+    layout = _layout(f.ctx.n)
+    lam = [require_int(step, "a shift entry") for step in lam]
+    if len(lam) != f.ctx.n:
+        raise ValueError(f"shift must have {f.ctx.n} entries, got {len(lam)}")
+    moves = [(s[j], s[image]) for s in (layout.xs, layout.ys) for j, image in enumerate(w) if image != j]
+    if not moves and not any(lam):
+        return f
+    ints = f._ints
+    if moves:
+        keep = ~sum(_FIELD << src for src, _ in moves)
+        ints = {}
+        for key, coeff in f._ints.items():
+            moved = key & keep
+            for src, dst in moves:
+                moved |= (key >> src & _FIELD) << dst
+            ints[moved] = coeff
+    for shift, step in zip(layout.ys, lam):
+        if step:
+            ints = _expand(ints, shift, 1, step)
+    return _from_ints(f.ctx, ints, f._content, True)
+
+
+def _expand(ints, shift, scale, step):
+    """The int term dict ints with v -> scale*v + step*h, v the variable of the field at shift.
+
+    v^k expands to sum_b C(k, b) scale^b step^(k - b) v^b h^(k - b).  The
+    result may hold zero values, and is ints itself when v -> v.  Raises
+    ValueError when an h exponent leaves its field, so that no later
+    expansion carries one into the c field.
+    """
+    if not step:
+        return ints if scale == 1 else {k: c * scale ** (k >> shift & _FIELD) for k, c in ints.items()}
+    out = {}
+    get = out.get
+    for key, coeff in ints.items():
+        k = key >> shift & _FIELD
+        if not k:
+            out[key] = get(key, 0) + coeff
+            continue
+        base = key - (k << shift) + k  # v^0 h^(he + k)
+        if base & _GUARD:
+            raise ValueError(_RANGE_ERROR)
+        for b in range(k + 1):
+            key = base + (b << shift) - b
+            out[key] = get(key, 0) + coeff * comb(k, b) * scale**b * step ** (k - b)
+    return out
 
 
 def subst_params(f, c_sign=1, c_to_h=0, h_sign=1):
-    """Substitute c -> c_sign*c + c_to_h*h and h -> h_sign*h.
+    """Substitute c -> c_sign*c + c_to_h*h and h -> h_sign*h, h first (``_expand``).
 
     Raises ValueError unless the arguments are integers.  With unit signs it
     is an automorphism of the integer polynomial ring and keeps the content.
     """
     c_sign, c_to_h, h_sign = map(require_int, (c_sign, c_to_h, h_sign), ("c_sign", "c_to_h", "h_sign"))
-    out = {}
-    for key, coeff in f._ints.items():
-        ce = key >> _C_SHIFT & _FIELD
-        coeff *= h_sign ** (key & _FIELD)
-        if ce == 0 or c_to_h == 0:
-            out[key] = out.get(key, 0) + coeff * c_sign**ce
-            continue
-        base = key - (ce << _C_SHIFT) + ce  # c^0 h^(he + ce)
-        for k in range(ce + 1):
-            scale = comb(ce, k) * c_sign**k * c_to_h ** (ce - k)
-            key = base + (k << _C_SHIFT) - k
-            out[key] = out.get(key, 0) + coeff * scale
-    return _from_ints(f.ctx, out, f._content, c_sign in (1, -1) and h_sign in (1, -1))
+    ints = _expand(_expand(f._ints, 0, h_sign, 0), _C_SHIFT, c_sign, c_to_h)
+    return _from_ints(f.ctx, ints, f._content, c_sign in (1, -1) and h_sign in (1, -1))
 
 
 def perm_sign(w):

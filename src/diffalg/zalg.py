@@ -575,10 +575,7 @@ def match_conventions(n):
     lam = (1,) + (0,) * (n - 1)
     collapsed = daha.e_lambda(ctx, lam, "closed").spherical_collapse()
     scale = Fraction(factorial(n), RootData.type_a(n).stabilizer_size(lam))
-    target = {
-        mu: RationalFunction(coeff.num * scale, coeff.den)
-        for mu, coeff in collapsed.items()
-    }
+    target = {mu: coeff * scale for mu, coeff in collapsed.items()}
     localized = class_localized(lam, 1, 0, 0)
     if set(target) != set(localized.terms):
         raise NoDictionary(
@@ -592,7 +589,7 @@ def match_conventions(n):
                 for mu, coeff in localized.terms.items():
                     image = coeff.subst_c(c_sign=c_sign, c_to_h=m)
                     if pair_sign < 0 and _distinct_pairs(mu) % 2:
-                        image = RationalFunction(-image.num, image.den)
+                        image = -image
                     transformed[mu] = image
                 if all(transformed[mu] == target[mu] for mu in target):
                     hits.append({"c_sign": c_sign, "h_shift": m, "pair_sign": pair_sign})

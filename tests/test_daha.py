@@ -184,6 +184,20 @@ def test_translation_must_have_one_entry_per_variable():
             daha.op_u(CTX2, lam)
 
 
+def test_generators_reject_non_integer_arguments():
+    # u^[0.5,0] used to build, and op_pi(CTX2).compose of it printed u^[1,0.5] with no error;
+    # pi^1.0 built the permutation [2.0,1.0], and y index 1.0 raised TypeError at a list index
+    for make in (
+        lambda: daha.op_u(CTX2, (0.5, 0)),
+        lambda: daha.op_u(CTX2, (0, Fraction(1, 2))),
+        lambda: op_pi(CTX2, 1.0),
+        lambda: op_pi(CTX2, Fraction(-1)),
+        lambda: daha.op_y(CTX2, 1.0),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+
 def test_phi_word_maps_y_tokens_and_scalars():
     scalar = LaurentPoly.c(CTX3) + 2 * LaurentPoly.h(CTX3)
     sign, word = phi_word((("y", 0), ("scalar", scalar), ("y", 2), ("y", 1)), 3)

@@ -50,6 +50,19 @@ def test_context_rejects_empty_variable_set():
         VarContext(0)
 
 
+def test_context_and_variable_index_must_be_integers():
+    # VarContext(2.5) used to construct, and LaurentPoly.one of it raised TypeError;
+    # index 1.0 passed the range check and raised TypeError at a list index
+    for make in (
+        lambda: VarContext(2.5),
+        lambda: VarContext(Fraction(2)),
+        lambda: LaurentPoly.y(CTX2, 1.0),
+        lambda: LaurentPoly.x(CTX2, Fraction(0)),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+
 def test_coefficients_stay_exact():
     f = LaurentPoly.const(CTX2, Fraction(1, 3)) + LaurentPoly.const(CTX2, Fraction(1, 6))
     assert f.constant_value() == Fraction(1, 2)
@@ -156,6 +169,8 @@ def test_exponents_outside_their_packed_field_raise():
         lambda: x(1, 9000) ** 2,
         lambda: LaurentPoly.x(ctx1, 0, -9000) ** 2,
         lambda: shift_y(LaurentPoly.monomial(CTX2, ye=(1, 0), he=32767), (1, 0)),
+        # h reaches 32767 after the y1 expansion and leaves its field only in the y2 one
+        lambda: shift_y(LaurentPoly.monomial(CTX2, ye=(1, 1), he=32766), (1, 1)),
         # clearing x1^-16384 moves x2^16383 to x2^32767 along the pair (0, 1)
         lambda: taylor_pair(x(0, -16384) + x(1, 16383), (0, 1), 1),
     ):
@@ -443,6 +458,38 @@ def test_exact_divide_agrees_with_sympy_remainder():
         else:
             assert remainder == 0
             assert q * form.to_poly(CTX3) == f
+
+    check()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_act_and_subst_params_agree_with_sympy(n):
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    ctx = VarContext(n)
+    xs, ys, c, h, to_sympy = _sympy_ring(sympy, n)
+    signs = st.integers(-1, 1)
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(
+        _random_poly_strategy(st, ctx),
+        st.permutations(range(n)).map(tuple),
+        st.tuples(*[st.integers(-2, 2)] * n),
+        st.tuples(signs, st.integers(-2, 2), signs),
+    )
+    def check(f, w, lam, params):
+        f_sym = to_sympy(f)
+        images = [xs[j] for j in w] + [ys[j] for j in w]
+        moved = f_sym.subs(dict(zip(xs + ys, images)), simultaneous=True)
+        shifted = moved.subs({y_i: y_i + step * h for y_i, step in zip(ys, lam)}, simultaneous=True)
+        assert sympy.expand(to_sympy(act((w, lam), f)) - shifted) == 0
+        c_sign, c_to_h, h_sign = params
+        substituted = f_sym.subs({c: c_sign * c + c_to_h * h, h: h_sign * h}, simultaneous=True)
+        assert sympy.expand(to_sympy(subst_params(f, c_sign, c_to_h, h_sign)) - substituted) == 0
+        identity = tuple(range(n))
+        assert act((identity, (0,) * n), f) is f
+        assert act_perm(identity, f) is f and shift_y(f, (0,) * n) is f
 
     check()
 
